@@ -1,6 +1,8 @@
 #include "posix/real_cluster.hpp"
 
+#include <array>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -12,26 +14,30 @@ namespace {
 // p2p frame: u32 src rank, payload.
 // multicast frame: u32 sender rank, u64 sequence, payload.
 //
-// Headers are built into small stack buffers and handed to the kernel
-// TOGETHER with the user payload via RealUdpSocket::send_parts (sendmsg +
-// iovec): the datagram is gathered in kernel space, so the send path never
-// copies the payload into an assembly buffer — the real-backend mirror of
-// the simulated stack's zero-copy gather-send.
+// Headers are built in stack arrays and handed to the kernel TOGETHER with
+// the user payload via RealUdpSocket::send_parts (sendmsg + iovec): the
+// datagram is gathered in kernel space, so the send path never copies the
+// payload into an assembly buffer — the real-backend mirror of the
+// simulated stack's zero-copy gather-send.
 
-Buffer p2p_header(int src) {
-  Buffer header;
-  header.reserve(4);
-  ByteWriter w(header);
-  w.u32(static_cast<std::uint32_t>(src));
+/// Stores `v` little-endian at `out` (ByteWriter's wire order).
+template <typename T>
+void put_le(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::array<std::uint8_t, 4> p2p_header(int src) {
+  std::array<std::uint8_t, 4> header;
+  put_le(header.data(), static_cast<std::uint32_t>(src));
   return header;
 }
 
-Buffer mcast_header(int sender, std::uint64_t seq) {
-  Buffer header;
-  header.reserve(12);
-  ByteWriter w(header);
-  w.u32(static_cast<std::uint32_t>(sender));
-  w.u64(seq);
+std::array<std::uint8_t, 12> mcast_header(int sender, std::uint64_t seq) {
+  std::array<std::uint8_t, 12> header;
+  put_le(header.data(), static_cast<std::uint32_t>(sender));
+  put_le(header.data() + 4, seq);
   return header;
 }
 }  // namespace
@@ -46,60 +52,67 @@ std::uint16_t RealCluster::p2p_port(int rank) const {
 }
 
 RealRank::RealRank(RealCluster& cluster, int rank)
-    : cluster_(cluster), rank_(rank) {
-  p2p_ = std::make_unique<RealUdpSocket>(0);
-  mcast_ = std::make_unique<RealUdpSocket>(cluster.mcast_port());
-  mcast_->join_multicast(cluster.config().mcast_group);
+    : cluster_(cluster),
+      rank_(rank),
+      p2p_(std::make_unique<RealUdpSocket>(0)) {}
+
+void RealRank::join_group() {
+  mcast_ = std::make_unique<RealUdpSocket>(cluster_.mcast_port(), true);
+  mcast_->join_multicast(cluster_.config().mcast_group);
 }
 
 int RealRank::size() const { return cluster_.config().num_ranks; }
 
-std::optional<ReceivedDatagram> RealRank::next_datagram(
-    RealUdpSocket& socket, std::deque<ReceivedDatagram>& pending) {
-  if (pending.empty()) {
-    for (auto& datagram : socket.recv_batch(cluster_.config().timeout)) {
-      pending.push_back(std::move(datagram));
-    }
+std::optional<DatagramView> RealRank::next_datagram(
+    RealUdpSocket& socket, std::span<const DatagramView>& batch) {
+  if (batch.empty()) {
+    batch = socket.recv_views(cluster_.config().timeout,
+                              RealUdpSocket::kMaxBatch);
   }
-  if (pending.empty()) {
+  if (batch.empty()) {
     return std::nullopt;
   }
-  ReceivedDatagram next = std::move(pending.front());
-  pending.pop_front();
+  const DatagramView next = batch.front();
+  batch = batch.subspan(1);
   return next;
 }
 
 void RealRank::send_p2p(int dst, std::span<const std::uint8_t> data) {
   MC_EXPECTS(dst >= 0 && dst < size());
-  const Buffer header = p2p_header(rank_);
+  const auto header = p2p_header(rank_);
   const std::span<const std::uint8_t> parts[] = {header, data};
   p2p_->send_parts(0, cluster_.p2p_port(dst), parts);
 }
 
 std::vector<std::uint8_t> RealRank::recv_p2p(int src) {
   MC_EXPECTS(src >= 0 && src < size());
+  auto& queue = p2p_queues_[src];
+  if (!queue.empty()) {
+    std::vector<std::uint8_t> data = std::move(queue.front());
+    queue.pop_front();
+    return data;
+  }
   for (;;) {
-    auto& queue = p2p_queues_[src];
-    if (!queue.empty()) {
-      std::vector<std::uint8_t> data = std::move(queue.front());
-      queue.pop_front();
-      return data;
-    }
-    auto datagram = next_datagram(*p2p_, p2p_pending_);
+    const auto datagram = next_datagram(*p2p_, p2p_batch_);
     if (!datagram.has_value()) {
       throw std::runtime_error("rank " + std::to_string(rank_) +
                                ": timeout waiting for p2p message from rank " +
                                std::to_string(src));
     }
+    // The payload's one copy: landing slot -> the message handed out or
+    // parked for a later recv_p2p.
     ByteReader r(datagram->data);
     const int from = static_cast<int>(r.u32());
-    auto rest = r.rest();
+    const auto rest = r.rest();
+    if (from == src) {
+      return {rest.begin(), rest.end()};
+    }
     p2p_queues_[from].emplace_back(rest.begin(), rest.end());
   }
 }
 
 void RealRank::mcast_send(std::span<const std::uint8_t> data) {
-  const Buffer header = mcast_header(rank_, mcast_seq_);
+  const auto header = mcast_header(rank_, mcast_seq_);
   const std::span<const std::uint8_t> parts[] = {header, data};
   mcast_->send_parts(cluster_.config().mcast_group, cluster_.mcast_port(),
                      parts);
@@ -108,7 +121,7 @@ void RealRank::mcast_send(std::span<const std::uint8_t> data) {
 
 std::vector<std::uint8_t> RealRank::mcast_recv() {
   for (;;) {
-    auto datagram = next_datagram(*mcast_, mcast_pending_);
+    const auto datagram = next_datagram(*mcast_, mcast_batch_);
     if (!datagram.has_value()) {
       throw std::runtime_error("rank " + std::to_string(rank_) +
                                ": timeout waiting for multicast");
@@ -123,8 +136,8 @@ std::vector<std::uint8_t> RealRank::mcast_recv() {
       continue;  // stale
     }
     ++mcast_seq_;
-    auto rest = r.rest();
-    return {rest.begin(), rest.end()};
+    const auto rest = r.rest();
+    return {rest.begin(), rest.end()};  // the payload's one copy
   }
 }
 
@@ -197,39 +210,49 @@ void RealRank::barrier() {
 
 void RealCluster::run(const std::function<void(RealRank&)>& rank_main) {
   // Build all rank endpoints on this thread so every port is known before
-  // any rank code runs (the cluster's "hostfile").
-  {
-    RealUdpSocket probe(0);
-    mcast_port_ = config_.mcast_port != 0 ? config_.mcast_port : probe.port();
-  }
+  // any rank code runs (the cluster's "hostfile").  The p2p sockets bind
+  // first and exclusively, each to a port of its own.  The multicast port
+  // is one that no socket held when the probe bound it; the ranks' shared
+  // multicast sockets bind it right after.
   std::vector<std::unique_ptr<RealRank>> ranks;
   p2p_ports_.clear();
   for (int r = 0; r < config_.num_ranks; ++r) {
     ranks.push_back(std::unique_ptr<RealRank>(new RealRank(*this, r)));
     p2p_ports_.push_back(ranks.back()->p2p_->port());
   }
+  if (config_.mcast_port != 0) {
+    mcast_port_ = config_.mcast_port;
+  } else {
+    RealUdpSocket probe(0);
+    mcast_port_ = probe.port();
+  }
+  for (const auto& rank : ranks) {
+    rank->join_group();
+  }
 
+  // The first rank to fail usually holds the cause; the others then time
+  // out waiting for it, so the earliest exception is the one rethrown.
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(config_.num_ranks));
-  for (int r = 0; r < config_.num_ranks; ++r) {
-    RealRank* rank = ranks[static_cast<std::size_t>(r)].get();
-    std::exception_ptr* slot = &errors[static_cast<std::size_t>(r)];
-    threads.emplace_back([rank, slot, &rank_main] {
+  for (const auto& rank : ranks) {
+    threads.emplace_back([&rank_main, &error_mutex, &first_error,
+                          r = rank.get()] {
       try {
-        rank_main(*rank);
+        rank_main(*r);
       } catch (...) {
-        *slot = std::current_exception();
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) {
+          first_error = std::current_exception();
+        }
       }
     });
   }
   for (auto& t : threads) {
     t.join();
   }
-  for (auto& e : errors) {
-    if (e) {
-      std::rethrow_exception(e);
-    }
+  if (first_error) {
+    std::rethrow_exception(first_error);
   }
 }
 

@@ -62,27 +62,31 @@ class RealRank {
  private:
   friend class RealCluster;
   RealRank(RealCluster& cluster, int rank);
+  /// Opens the multicast socket on the cluster's port and joins the group.
+  void join_group();
   void scout_gather_binary(int root);
   void scout_gather_linear(int root);
-  /// Pops the next datagram for `socket`, refilling `pending` with one
+  /// Pops the next datagram for `socket`, refilling `batch` with one
   /// batched recvmmsg when it runs dry (the hot receive loops drain bursts
-  /// one syscall at a time instead of one datagram at a time).
-  std::optional<ReceivedDatagram> next_datagram(
-      RealUdpSocket& socket, std::deque<ReceivedDatagram>& pending);
+  /// one syscall at a time instead of one datagram at a time).  The views
+  /// point into the socket's landing slots; they stay valid because the
+  /// socket is read again only once its batch is drained.
+  std::optional<DatagramView> next_datagram(
+      RealUdpSocket& socket, std::span<const DatagramView>& batch);
 
   RealCluster& cluster_;
   int rank_;
   std::unique_ptr<RealUdpSocket> p2p_;
   std::unique_ptr<RealUdpSocket> mcast_;
   std::map<int, std::deque<std::vector<std::uint8_t>>> p2p_queues_;
-  std::deque<ReceivedDatagram> p2p_pending_;    // batched, not yet demuxed
-  std::deque<ReceivedDatagram> mcast_pending_;  // batched, not yet consumed
+  std::span<const DatagramView> p2p_batch_;    // received, not yet demuxed
+  std::span<const DatagramView> mcast_batch_;  // received, not yet consumed
   std::uint64_t mcast_seq_ = 0;  // per-rank expected collective sequence
 };
 
 /// Runs an SPMD function on `num_ranks` OS threads sharing a loopback
-/// "network".  Exceptions from rank threads are collected and the first one
-/// rethrown from run().
+/// "network".  If rank threads throw, run() rethrows the exception thrown
+/// first.
 class RealCluster {
  public:
   explicit RealCluster(RealClusterConfig config);

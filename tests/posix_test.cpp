@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
+#include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "posix/real_cluster.hpp"
 #include "posix/socket.hpp"
@@ -97,6 +99,139 @@ TEST(RealSocket, RecvBatchRespectsMaxBatch) {
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].data[0], 2);
   EXPECT_EQ(rest[1].data[0], 3);
+}
+
+// A zero timeout is a non-blocking poll.  (SO_RCVTIMEO = {0, 0} would
+// mean "block forever" to Linux; the call must not hang on an idle socket.)
+TEST(RealSocket, ZeroTimeoutPollsWithoutBlocking) {
+  RealUdpSocket rx(0);
+  RealUdpSocket tx(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(rx.recv_batch(std::chrono::milliseconds(0)).empty());
+  EXPECT_FALSE(rx.recv(std::chrono::milliseconds(0)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+
+  const Buffer payload = pattern_payload(5, 40);
+  tx.send_to(0, rx.port(), payload);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto got = rx.recv_batch(std::chrono::milliseconds(0));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].data, payload);
+  EXPECT_EQ(got[0].src_port, tx.port());
+
+  // A blocking receive after the poll still waits for its datagram.
+  tx.send_to(0, rx.port(), payload);
+  const auto blocking = rx.recv(std::chrono::milliseconds(1000));
+  ASSERT_TRUE(blocking.has_value());
+  EXPECT_EQ(blocking->data, payload);
+}
+
+TEST(RealSocket, NegativeTimeoutIsRejected) {
+  RealUdpSocket rx(0);
+  EXPECT_THROW((void)rx.recv(std::chrono::milliseconds(-1)),
+               ContractViolation);
+  EXPECT_THROW((void)rx.recv_batch(std::chrono::milliseconds(-5)),
+               ContractViolation);
+}
+
+// The landing slots are reused without being cleared: a short datagram
+// landing where a long one was must come back at its own length with its
+// own bytes, through both receive calls.
+TEST(RealSocket, ShortDatagramAfterLongOneInSameSlot) {
+  RealUdpSocket rx(0);
+  RealUdpSocket tx(0);
+  const std::uint8_t tiny[] = {0xa1, 0xb2, 0xc3};
+  tx.send_to(0, rx.port(), pattern_payload(60, 60000));
+  const auto long_one = rx.recv_batch(std::chrono::milliseconds(1000));
+  ASSERT_EQ(long_one.size(), 1u);
+  EXPECT_EQ(long_one[0].data.size(), 60000u);
+  EXPECT_TRUE(check_pattern(60, long_one[0].data));
+
+  tx.send_to(0, rx.port(), tiny);
+  const auto short_one = rx.recv_batch(std::chrono::milliseconds(1000));
+  ASSERT_EQ(short_one.size(), 1u);
+  EXPECT_EQ(short_one[0].data, Buffer(std::begin(tiny), std::end(tiny)));
+
+  tx.send_to(0, rx.port(), pattern_payload(61, 60000));
+  ASSERT_TRUE(rx.recv(std::chrono::milliseconds(1000)).has_value());
+  tx.send_to(0, rx.port(), tiny);
+  const auto via_recv = rx.recv(std::chrono::milliseconds(1000));
+  ASSERT_TRUE(via_recv.has_value());
+  EXPECT_EQ(via_recv->data, Buffer(std::begin(tiny), std::end(tiny)));
+}
+
+// A burst larger than the slot count drains over two calls, and the
+// datagrams copied out of the first call survive the second one reusing
+// the same slots.
+TEST(RealSocket, BurstLongerThanSlotsDrainsOverTwoCalls) {
+  RealUdpSocket rx(0);
+  RealUdpSocket tx(0);
+  constexpr std::size_t kBurst = RealUdpSocket::kMaxBatch + 4;
+  const auto size_of = [](std::size_t i) { return 1 + 97 * i; };
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    tx.send_to(0, rx.port(), pattern_payload(100 + i, size_of(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto got = rx.recv_batch(std::chrono::milliseconds(1000),
+                           RealUdpSocket::kMaxBatch);
+  ASSERT_EQ(got.size(), RealUdpSocket::kMaxBatch);
+  for (auto& d : rx.recv_batch(std::chrono::milliseconds(1000),
+                               RealUdpSocket::kMaxBatch)) {
+    got.push_back(std::move(d));
+  }
+  ASSERT_EQ(got.size(), kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(got[i].data.size(), size_of(i)) << "datagram " << i;
+    EXPECT_TRUE(check_pattern(100 + i, got[i].data)) << "datagram " << i;
+  }
+}
+
+// Views see the datagrams in place, each at its own length.
+TEST(RealSocket, RecvViewsSeeBurstInPlace) {
+  RealUdpSocket rx(0);
+  RealUdpSocket tx(0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    tx.send_to(0, rx.port(), pattern_payload(200 + i, 500 * (i + 1)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto views = rx.recv_views(std::chrono::milliseconds(1000),
+                                   RealUdpSocket::kMaxBatch);
+  ASSERT_EQ(views.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(views[i].data.size(), 500 * (i + 1));
+    EXPECT_TRUE(check_pattern(200 + i, views[i].data));
+    EXPECT_EQ(views[i].src_port, tx.port());
+  }
+}
+
+TEST(RealSocket, LargestUdpDatagramRoundTrips) {
+  constexpr std::size_t kMaxUdpPayload = 65507;
+  RealUdpSocket rx(0);
+  RealUdpSocket tx(0);
+  tx.send_to(0, rx.port(), pattern_payload(9, kMaxUdpPayload));
+  const auto got = rx.recv(std::chrono::milliseconds(1000));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->data.size(), kMaxUdpPayload);
+  EXPECT_TRUE(check_pattern(9, got->data));
+}
+
+// Unicast endpoints get ports of their own.  (Were they all SO_REUSEADDR,
+// Linux could hand one ephemeral port to two of them, and unicast to that
+// port would reach only one: a RealCluster scout went missing that way.)
+TEST(RealSocket, EphemeralUnicastPortsAreDistinct) {
+  constexpr std::size_t kSockets = 400;
+  RealUdpSocket shared_a(0, true);
+  RealUdpSocket shared_b(shared_a.port(), true);
+  EXPECT_EQ(shared_b.port(), shared_a.port());
+  std::vector<RealUdpSocket> sockets;
+  sockets.reserve(kSockets);
+  std::set<std::uint16_t> ports{shared_a.port()};
+  for (std::size_t i = 0; i < kSockets; ++i) {
+    sockets.emplace_back(0);
+    EXPECT_TRUE(ports.insert(sockets.back().port()).second)
+        << "port " << sockets.back().port() << " handed out twice";
+  }
 }
 
 // Kernel gather-send: header and payload handed to sendmsg as separate
@@ -246,6 +381,39 @@ TEST(RealCluster, BarrierSynchronizesThreads) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(seen_at_exit[static_cast<std::size_t>(i)], 4)
         << "rank " << i << " left the barrier before everyone entered";
+  }
+}
+
+// The loopback benchmark's shape: a barrier, then a binary scout bcast of
+// 0-20 000 B from a rotating root, every rank checking every byte.
+TEST(RealCluster, ManyBroadcastsOfMixedSizesDeliverEveryByte) {
+  SKIP_WITHOUT_MULTICAST();
+  constexpr int kRanks = 4;
+  constexpr std::size_t kBcasts = 200;
+  constexpr std::size_t kMaxBytes = 20000;
+  RealClusterConfig config;
+  config.num_ranks = kRanks;
+  config.mcast_group = 0xEF0101F5u;
+  RealCluster cluster(config);
+  std::vector<int> bad(kRanks, 0);
+  cluster.run([&](RealRank& r) {
+    for (std::size_t i = 0; i < kBcasts; ++i) {
+      const std::size_t bytes =
+          i + 1 == kBcasts ? kMaxBytes : (i * 9973) % (kMaxBytes + 1);
+      const int root = static_cast<int>(i % kRanks);
+      r.barrier();
+      std::vector<std::uint8_t> data;
+      if (r.rank() == root) {
+        data = pattern_payload(i, bytes);
+      }
+      r.bcast_binary(data, root);
+      if (data.size() != bytes || !check_pattern(i, data)) {
+        ++bad[static_cast<std::size_t>(r.rank())];
+      }
+    }
+  });
+  for (int i = 0; i < kRanks; ++i) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(i)], 0) << "rank " << i;
   }
 }
 
