@@ -96,34 +96,35 @@ std::vector<LossProfile> loss_profiles() {
 void configure_recovery(mpi::Proc& p, const Variant& v, SimTime silence) {
   if (v.engine == "ack-mcast") {
     coll::AckMcastParams params;
-    params.retransmit_timeout = silence;
-    params.backoff = 2.0;
-    params.timeout_cap = milliseconds(80);
-    params.max_retries = 200;
+    params.retry.timeout = silence;
+    params.retry.backoff = 2.0;
+    params.retry.cap = milliseconds(80);
+    params.retry.max_retries = 200;
     coll::set_ack_mcast_params(p, p.comm_world(), params);
   } else if (v.engine == "nack-mcast") {
     coll::NackMcastParams params;
-    params.nack_timeout = silence;
+    params.retry.timeout = silence;
     coll::set_nack_mcast_params(p, p.comm_world(), params);
   } else if (v.engine == "mcast-segmented") {
     coll::SegmentedConfig config;
     config.chunk_bytes = 4096;
     config.window = 4;
-    config.retransmit_timeout = silence;
-    config.retransmit_backoff = 2.0;
-    config.retransmit_timeout_cap = milliseconds(400);
-    config.max_retries = 50;
+    config.retry.timeout = silence;
+    config.retry.backoff = 2.0;
+    config.retry.cap = milliseconds(400);
+    config.retry.max_retries = 50;
     coll::set_segmented_config(p, p.comm_world(), config);
   } else if (v.engine == "fec-mcast") {
     coll::FecConfig config;
     config.overhead = v.fec_overhead;
-    config.fallback_timeout = silence;
-    config.fallback_backoff = 2.0;
-    config.fallback_timeout_cap = milliseconds(400);
-    config.max_fallback_retries = 50;
+    config.retry.timeout = silence;
+    config.retry.backoff = 2.0;
+    config.retry.cap = milliseconds(400);
+    config.retry.max_retries = 50;
     coll::set_fec_config(p, p.comm_world(), config);
   }
-  // The sequencer already defaults to a backed-off, capped NACK timer.
+  // The sequencer runs on its defaults (the registry entry passes none): a
+  // fixed 3 ms NACK timer — no backoff — with a finite NACK limit.
 }
 
 Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "coll/hier.hpp"
-#include "coll/nack_mcast.hpp"
 #include "coll/tuning.hpp"
 #include "common/assert.hpp"
 
@@ -229,28 +228,10 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   world_ = std::make_unique<mpi::World>(*sim_, resources);
-  // nack-mcast history bound: explicit config beats MCMPI_NACK_HISTORY
-  // beats the protocol default (64), mirroring the coll_tuning precedence.
-  std::size_t nack_history = config_.nack_history_frames;
-  if (nack_history == 0) {
-    if (const char* env = std::getenv("MCMPI_NACK_HISTORY");
-        env != nullptr && *env != '\0') {
-      const long value = std::strtol(env, nullptr, 10);
-      if (value < 1) {
-        throw std::invalid_argument(
-            "MCMPI_NACK_HISTORY must be a positive frame count, got '" +
-            std::string(env) + "'");
-      }
-      nack_history = static_cast<std::size_t>(value);
-    } else {
-      nack_history = coll::NackMcastParams{}.history_frames;
-    }
-  }
   for (int i = 0; i < config_.num_procs; ++i) {
     world_->proc(i).engine().set_eager_threshold(config_.eager_threshold);
     world_->proc(i).set_mcast_recv_buffer(config_.mcast_rcvbuf_bytes);
     world_->proc(i).set_network_lossy(faults.lossy());
-    world_->proc(i).set_nack_history_frames(nack_history);
   }
   if (!config_.coll_tuning.empty()) {
     world_->set_coll_tuning(coll::TuningTable::parse(config_.coll_tuning));

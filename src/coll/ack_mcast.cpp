@@ -1,8 +1,6 @@
 #include "coll/ack_mcast.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "coll/mcast.hpp"
 #include "common/assert.hpp"
@@ -17,29 +15,11 @@ struct AckState {
   AckMcastParams params;
   AckMcastStats stats;
 };
-
-SimTime backed_off(SimTime timeout, const AckMcastParams& params) {
-  const auto scaled = static_cast<std::int64_t>(
-      static_cast<double>(timeout.count()) * params.backoff);
-  return std::min(SimTime{scaled}, params.timeout_cap);
-}
 }  // namespace
 
 void set_ack_mcast_params(Proc& p, const Comm& comm,
                           const AckMcastParams& params) {
-  if (params.retransmit_timeout <= kTimeZero) {
-    throw std::invalid_argument("ack-mcast: retransmit_timeout must be > 0");
-  }
-  if (params.backoff < 1.0) {
-    throw std::invalid_argument("ack-mcast: backoff must be >= 1");
-  }
-  if (params.timeout_cap < params.retransmit_timeout) {
-    throw std::invalid_argument(
-        "ack-mcast: timeout_cap must be >= retransmit_timeout");
-  }
-  if (params.max_retries < 0) {
-    throw std::invalid_argument("ack-mcast: max_retries must be >= 0");
-  }
+  validate(params.retry, "ack-mcast");
   p.coll_state<AckState>(comm).params = params;
 }
 
@@ -79,10 +59,9 @@ void bcast_ack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root,
   mcast_send_framed(p, comm, buffer, root, net::FrameKind::kData);
 
   int pending = comm.size() - 1;
-  int retries = 0;
-  SimTime timeout = params.retransmit_timeout;
+  RetryTimer timer(params.retry);
   auto request = p.irecv(comm, mpi::kAnySource, mpi::kTagAckMcast);
-  SimTime deadline = p.self().now() + timeout;
+  SimTime deadline = p.self().now() + timer.timeout();
   while (pending > 0) {
     const auto ack =
         p.wait_until(request, deadline, nullptr, mpi::CostTier::kRaw);
@@ -96,33 +75,22 @@ void bcast_ack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root,
       continue;
     }
     // Timeout: somebody was not ready — re-multicast the whole payload.
-    if (params.max_retries > 0 && retries >= params.max_retries) {
+    timer.step([&] {
       std::ostringstream os;
       os << "ack-mcast: root rank " << root << " gave up on seq " << seq
-         << " after " << retries << " retransmissions ("
-         << pending << " of " << comm.size() - 1
+         << " after " << timer.retries() << " retransmissions (" << pending
+         << " of " << comm.size() - 1
          << " ACKs still outstanding) — loss rate exceeds what the ACK "
             "protocol can absorb; raise max_retries or pick nack-mcast / "
             "mcast-segmented";
-      throw std::runtime_error(os.str());
-    }
-    ++retries;
+      return os.str();
+    });
     ++state.stats.retransmissions;
     ++p.self().shard().counters().retransmits;
-    // The channel sequence already advanced, so rebuild the header with the
-    // original sequence number and gather-send it with the (unchanged)
-    // payload through the socket directly.
-    Buffer header;
-    header.reserve(16);
-    ByteWriter w(header);
-    w.u32(comm.context());
-    w.i32(comm.world_rank_of(root));
-    w.u64(seq);
-    p.self().delay(p.costs().send_overhead(
-        static_cast<std::int64_t>(buffer.size()), mpi::CostTier::kMcastData));
-    ch.send(header, buffer, net::FrameKind::kData);
-    timeout = backed_off(timeout, params);
-    deadline = p.self().now() + timeout;
+    // The channel sequence already advanced: re-send under the original.
+    send_framed(p, ch, {comm.context(), comm.world_rank_of(root), seq}, buffer,
+                net::FrameKind::kData);
+    deadline = p.self().now() + timer.timeout();
   }
 }
 

@@ -17,6 +17,7 @@
 /// as serial as linear scouts, and any slow receiver costs whole-payload
 /// retransmissions instead of a cheap wait.
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "mpi/proc.hpp"
@@ -24,18 +25,16 @@
 namespace mcmpi::coll {
 
 struct AckMcastParams {
-  /// How long the root waits for outstanding ACKs before re-multicasting.
-  SimTime retransmit_timeout = milliseconds(5);
-  /// Timeout multiplier applied after every retransmission (1.0 keeps the
-  /// historical fixed timer).  Under sustained loss a fixed timer livelocks:
-  /// retransmissions collide with the ACKs they provoked.
-  double backoff = 1.0;
-  /// Backed-off timeout ceiling.
-  SimTime timeout_cap = milliseconds(200);
-  /// Give up after this many retransmissions of one broadcast (0 = retry
-  /// forever, the historical behavior).  Exceeding the cap throws — the
-  /// collective cannot complete and silence would hang every rank.
-  int max_retries = 0;
+  /// Root retransmission timer: how long the root waits for outstanding
+  /// ACKs before re-multicasting (5 ms).  The default fixed timer
+  /// (backoff 1) that retries forever (max_retries 0) is the historical
+  /// behavior; under sustained loss a fixed timer livelocks, as
+  /// retransmissions collide with the ACKs they provoked, so lossy runs set
+  /// a backoff and a finite limit — exceeding it throws.
+  RetryPolicy retry{.timeout = milliseconds(5),
+                    .backoff = 1.0,
+                    .cap = milliseconds(200),
+                    .max_retries = 0};
 };
 
 struct AckMcastStats {
@@ -44,8 +43,7 @@ struct AckMcastStats {
 
 /// Sets the ACK protocol parameters used by the parameterless overload on
 /// `comm` (per-communicator, like set_segmented_config).  Throws
-/// std::invalid_argument on nonpositive timeout, backoff < 1, or negative
-/// retry cap.
+/// std::invalid_argument on an out-of-range retry policy.
 void set_ack_mcast_params(mpi::Proc& p, const mpi::Comm& comm,
                           const AckMcastParams& params);
 const AckMcastParams& ack_mcast_params(mpi::Proc& p, const mpi::Comm& comm);

@@ -1,5 +1,7 @@
 #include "coll/facade.hpp"
 
+#include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -37,70 +39,85 @@ const CollAlgorithm& Coll::entry(CollOp op, std::size_t bytes,
 
 void Coll::bcast(Buffer& buffer, int root, const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  entry(CollOp::kBcast, buffer.size(), algo).bcast(p_, comm_, buffer, root);
+  entry(CollOp::kBcast, buffer.size(), algo)
+      .fn<BcastRun>()(p_, comm_, buffer, root);
 }
 
 void Coll::barrier(const std::string& algo) {
-  entry(CollOp::kBarrier, 0, algo).barrier(p_, comm_);
+  entry(CollOp::kBarrier, 0, algo).fn<BarrierRun>()(p_, comm_);
 }
 
 Buffer Coll::allreduce(std::span<const std::uint8_t> data, mpi::Op op,
                        mpi::Datatype type, const std::string& algo) {
   return entry(CollOp::kAllreduce, data.size(), algo)
-      .allreduce(p_, comm_, data, op, type);
+      .fn<AllreduceRun>()(p_, comm_, data, op, type);
 }
 
 std::vector<Buffer> Coll::allgather(std::span<const std::uint8_t> data,
                                     const std::string& algo) {
   return entry(CollOp::kAllgather, data.size(), algo)
-      .allgather(p_, comm_, data);
+      .fn<AllgatherRun>()(p_, comm_, data);
 }
 
 Buffer Coll::reduce(std::span<const std::uint8_t> data, mpi::Op op,
                     mpi::Datatype type, int root, const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
   return entry(CollOp::kReduce, data.size(), algo)
-      .reduce(p_, comm_, data, op, type, root);
+      .fn<ReduceRun>()(p_, comm_, data, op, type, root);
 }
 
 std::vector<Buffer> Coll::gather(std::span<const std::uint8_t> data, int root,
                                  const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
   return entry(CollOp::kGather, data.size(), algo)
-      .gather(p_, comm_, data, root);
+      .fn<GatherRun>()(p_, comm_, data, root);
 }
 
 Buffer Coll::scatter(const std::vector<Buffer>& chunks, int root,
                      std::size_t chunk_bytes, const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
   return entry(CollOp::kScatter, chunk_bytes, algo)
-      .scatter(p_, comm_, chunks, root);
+      .fn<ScatterRun>()(p_, comm_, chunks, root);
 }
 
 Buffer Coll::scan(std::span<const std::uint8_t> data, mpi::Op op,
                   mpi::Datatype type, const std::string& algo) {
   return entry(CollOp::kScan, data.size(), algo)
-      .scan(p_, comm_, data, op, type);
+      .fn<ScanRun>()(p_, comm_, data, op, type);
 }
 
 std::vector<Buffer> Coll::alltoall(const std::vector<Buffer>& to_each,
                                    std::size_t block_bytes,
                                    const std::string& algo) {
   return entry(CollOp::kAlltoall, block_bytes, algo)
-      .alltoall(p_, comm_, to_each);
+      .fn<AlltoallRun>()(p_, comm_, to_each);
 }
 
-std::shared_ptr<CollRequest> Coll::spawn_helper(
-    const std::string& label, std::function<void(CollRequest&)> body) {
+template <typename Run, typename... Args>
+std::shared_ptr<CollRequest> Coll::spawn_run(const std::string& label,
+                                             std::size_t bytes,
+                                             const std::string& algo,
+                                             Args... args) {
+  // Resolve on the caller's fiber; copy the run function so later registry
+  // growth cannot invalidate the reference.
+  auto run = entry(Run::kOp, bytes, algo).template fn<Run>();
   auto request = std::make_shared<CollRequest>();
   mpi::Proc* proc = &p_;
   // The helper starts at the current virtual instant and runs whenever the
   // rank's main fiber blocks or sleeps — overlap with compute for free.
   p_.self().simulator().spawn(
       "rank" + std::to_string(p_.rank()) + "/" + label,
-      [proc, request, body = std::move(body)](sim::SimProcess& helper) {
+      [run = std::move(run), proc, comm = comm_, request,
+       ... args = std::move(args)](sim::SimProcess& helper) {
         const mpi::Proc::HelperScope scope(*proc, helper);
-        body(*request);
+        using Result = decltype(run(*proc, comm, args...));
+        if constexpr (std::is_same_v<Result, Buffer>) {
+          request->result() = run(*proc, comm, args...);
+        } else if constexpr (std::is_same_v<Result, std::vector<Buffer>>) {
+          request->blocks() = run(*proc, comm, args...);
+        } else {
+          run(*proc, comm, args...);
+        }
         request->finish(helper.now());
       });
   return request;
@@ -109,88 +126,48 @@ std::shared_ptr<CollRequest> Coll::spawn_helper(
 std::shared_ptr<CollRequest> Coll::ibcast(Buffer& buffer, int root,
                                           const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  // Resolve on the caller's fiber; copy the run function so later registry
-  // growth cannot invalidate the reference.
-  auto run = entry(CollOp::kBcast, buffer.size(), algo).bcast;
-  mpi::Proc* proc = &p_;
-  return spawn_helper(
-      "ibcast", [run = std::move(run), proc, comm = comm_, buf = &buffer,
-                 root](CollRequest&) { run(*proc, comm, *buf, root); });
+  return spawn_run<BcastRun>("ibcast", buffer.size(), algo, std::ref(buffer),
+                             root);
 }
 
 std::shared_ptr<CollRequest> Coll::ibarrier(const std::string& algo) {
-  auto run = entry(CollOp::kBarrier, 0, algo).barrier;
-  mpi::Proc* proc = &p_;
-  return spawn_helper("ibarrier",
-                      [run = std::move(run), proc,
-                       comm = comm_](CollRequest&) { run(*proc, comm); });
+  return spawn_run<BarrierRun>("ibarrier", 0, algo);
 }
 
 std::shared_ptr<CollRequest> Coll::iallreduce(
     std::span<const std::uint8_t> data, mpi::Op op, mpi::Datatype type,
     const std::string& algo) {
-  auto run = entry(CollOp::kAllreduce, data.size(), algo).allreduce;
-  mpi::Proc* proc = &p_;
-  Buffer copy(data.begin(), data.end());
-  return spawn_helper(
-      "iallreduce", [run = std::move(run), proc, comm = comm_,
-                     copy = std::move(copy), op, type](CollRequest& request) {
-        request.result() = run(*proc, comm, copy, op, type);
-      });
+  return spawn_run<AllreduceRun>("iallreduce", data.size(), algo,
+                                 Buffer(data.begin(), data.end()), op, type);
 }
 
 std::shared_ptr<CollRequest> Coll::ireduce(std::span<const std::uint8_t> data,
                                            mpi::Op op, mpi::Datatype type,
                                            int root, const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  auto run = entry(CollOp::kReduce, data.size(), algo).reduce;
-  mpi::Proc* proc = &p_;
-  Buffer copy(data.begin(), data.end());
-  return spawn_helper("ireduce",
-                      [run = std::move(run), proc, comm = comm_,
-                       copy = std::move(copy), op, type,
-                       root](CollRequest& request) {
-                        request.result() = run(*proc, comm, copy, op, type,
-                                               root);
-                      });
+  return spawn_run<ReduceRun>("ireduce", data.size(), algo,
+                              Buffer(data.begin(), data.end()), op, type,
+                              root);
 }
 
 std::shared_ptr<CollRequest> Coll::igather(std::span<const std::uint8_t> data,
                                            int root, const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  auto run = entry(CollOp::kGather, data.size(), algo).gather;
-  mpi::Proc* proc = &p_;
-  Buffer copy(data.begin(), data.end());
-  return spawn_helper("igather",
-                      [run = std::move(run), proc, comm = comm_,
-                       copy = std::move(copy), root](CollRequest& request) {
-                        request.blocks() = run(*proc, comm, copy, root);
-                      });
+  return spawn_run<GatherRun>("igather", data.size(), algo,
+                              Buffer(data.begin(), data.end()), root);
 }
 
 std::shared_ptr<CollRequest> Coll::iscatter(const std::vector<Buffer>& chunks,
                                             int root, std::size_t chunk_bytes,
                                             const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  auto run = entry(CollOp::kScatter, chunk_bytes, algo).scatter;
-  mpi::Proc* proc = &p_;
-  return spawn_helper("iscatter",
-                      [run = std::move(run), proc, comm = comm_,
-                       chunks = chunks, root](CollRequest& request) {
-                        request.result() = run(*proc, comm, chunks, root);
-                      });
+  return spawn_run<ScatterRun>("iscatter", chunk_bytes, algo, chunks, root);
 }
 
 std::shared_ptr<CollRequest> Coll::ialltoall(
     const std::vector<Buffer>& to_each, std::size_t block_bytes,
     const std::string& algo) {
-  auto run = entry(CollOp::kAlltoall, block_bytes, algo).alltoall;
-  mpi::Proc* proc = &p_;
-  return spawn_helper("ialltoall",
-                      [run = std::move(run), proc, comm = comm_,
-                       to_each = to_each](CollRequest& request) {
-                        request.blocks() = run(*proc, comm, to_each);
-                      });
+  return spawn_run<AlltoallRun>("ialltoall", block_bytes, algo, to_each);
 }
 
 }  // namespace mcmpi::coll

@@ -142,9 +142,14 @@ class Coll {
  private:
   const CollAlgorithm& entry(CollOp op, std::size_t bytes,
                              const std::string& algo) const;
-  std::shared_ptr<CollRequest> spawn_helper(
-      const std::string& label,
-      std::function<void(CollRequest&)> body);
+  /// Resolves `algo` for `bytes` on the caller's fiber, then runs it on a
+  /// helper fiber with `args` (copied now), storing a Buffer result in
+  /// request.result() and a block vector in request.blocks().
+  template <typename Run, typename... Args>
+  std::shared_ptr<CollRequest> spawn_run(const std::string& label,
+                                         std::size_t bytes,
+                                         const std::string& algo,
+                                         Args... args);
 
   mpi::Proc& p_;
   mpi::Comm comm_;

@@ -37,7 +37,6 @@ namespace {
 constexpr std::size_t kFecHeaderBytes = 36;
 constexpr std::size_t kFecCombinedHeaderBytes =
     kMcastFrameHeaderBytes + kFecHeaderBytes;
-constexpr std::uint32_t kParityBit = 0x80000000u;
 
 struct FecHeader {
   std::uint32_t index = 0;
@@ -48,8 +47,10 @@ struct FecHeader {
   std::uint64_t total = 0;
   std::uint64_t op_base = 0;
 
-  bool parity() const { return (index & kParityBit) != 0; }
-  int parity_row() const { return static_cast<int>(index & ~kParityBit); }
+  bool parity() const { return (index & kParityIndexBit) != 0; }
+  int parity_row() const {
+    return static_cast<int>(index & ~kParityIndexBit);
+  }
 };
 
 FecHeader parse_fec_header(ByteReader& r) {
@@ -71,10 +72,8 @@ struct Stashed {
 
 struct FecState {
   FecConfig config;
-  // Root side: NACK-fallback service state.
-  bool sink_installed = false;
-  std::map<std::uint64_t, PayloadRef> history;
-  std::map<std::uint64_t, SimTime> last_resend;
+  // Root side: NACK-fallback service (counted NACK payloads).
+  RetainedHistory history{config.history_frames, config.aggregation_window};
   // Receiver side: frames ahead of the current window / operation.
   std::map<std::uint64_t, Stashed> stash;
   FecStats stats;
@@ -126,12 +125,9 @@ double update_working_overhead(Proc& p, FecState& state) {
   return state.working;
 }
 
-void write_headers(ByteWriter& w, std::uint32_t context,
-                   std::int32_t root_world, std::uint64_t seq,
+void write_headers(ByteWriter& w, const FrameHeader& frame,
                    const FecHeader& h) {
-  w.u32(context);
-  w.i32(root_world);
-  w.u64(seq);
+  write_frame_header(w, frame);
   w.u32(h.index);
   w.u32(h.window);
   w.u32(h.kw);
@@ -141,58 +137,12 @@ void write_headers(ByteWriter& w, std::uint32_t context,
   w.u64(h.op_base);
 }
 
-/// Root-side fallback service: kernel-level (uncharged), alive for the
-/// communicator's lifetime — exactly like the nack-mcast sink, so the root
-/// can return from the broadcast without waiting for anyone.
-void install_sink(Proc& p, const Comm& comm, FecState& state) {
-  if (state.sink_installed) {
-    return;
-  }
-  state.sink_installed = true;
-  mpi::McastChannel* channel = &p.mcast_channel(comm);
-  FecState* st = &state;
-  sim::Shard* shard = &p.self().shard();
-  p.engine().set_sink(
-      comm.context(), mpi::kTagFecNack,
-      [channel, st, shard](mpi::Rank /*src*/, PayloadRef data) {
-        ByteReader r(data);
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::uint64_t wanted = r.u64();
-          const auto it = st->history.find(wanted);
-          if (it == st->history.end()) {
-            ++st->stats.nacks_unserved;
-            continue;
-          }
-          const SimTime now = shard->now();
-          const auto last = st->last_resend.find(wanted);
-          if (last != st->last_resend.end() &&
-              now - last->second < st->config.aggregation_window) {
-            ++st->stats.nacks_suppressed;
-            ++shard->counters().nacks_suppressed;
-            continue;
-          }
-          st->last_resend[wanted] = now;
-          ++st->stats.nacks_served;
-          ++shard->counters().retransmits;
-          channel->send(it->second, net::FrameKind::kData);
-        }
-      });
-}
-
-void retain(FecState& state, std::uint64_t seq, PayloadRef framed) {
-  state.history.emplace(seq, std::move(framed));
-  while (state.history.size() > state.config.history_frames) {
-    state.last_resend.erase(state.history.begin()->first);
-    state.history.erase(state.history.begin());
-  }
-}
-
 void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
                int root) {
   const FecConfig& cfg = state.config;
   mpi::McastChannel& ch = p.mcast_channel(comm);
-  install_sink(p, comm, state);
+  state.history.serve_nacks(p, comm, mpi::kTagFecNack, NackFormat::kCounted,
+                            state.stats);
   const double overhead = update_working_overhead(p, state);
 
   const std::size_t total = buffer.size();
@@ -226,19 +176,13 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
       const std::size_t len = std::min(chunk, total - std::min(off, total));
       const std::span<const std::uint8_t> span{buffer.data() + off, len};
       dspans.push_back(span);
-      const std::uint64_t seq = ch.expected_seq();
       h.index = static_cast<std::uint32_t>(j);
       PooledBuffer out = acquire_payload_buffer(kFecCombinedHeaderBytes + len);
       ByteWriter fw(out.bytes);
-      write_headers(fw, context, root_world, seq, h);
+      write_headers(fw, {context, root_world, ch.expected_seq()}, h);
       fw.bytes(span);
-      PayloadRef framed = PayloadRef::adopt(std::move(out));
-      retain(state, seq, framed);
-      p.self().delay(p.costs().send_overhead(
-          static_cast<std::int64_t>(kFecHeaderBytes + len),
-          mpi::CostTier::kMcastData));
-      ch.send(std::move(framed), net::FrameKind::kData);
-      ch.advance_seq();
+      state.history.multicast(p, ch, PayloadRef::adopt(std::move(out)),
+                              kFecHeaderBytes + len);
     }
 
     // Parity frames: encoded straight into their framed wire buffers (the
@@ -250,11 +194,11 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
     pspans.reserve(static_cast<std::size_t>(rw));
     const std::uint64_t parity_base = ch.expected_seq();
     for (int i = 0; i < rw; ++i) {
-      h.index = kParityBit | static_cast<std::uint32_t>(i);
+      h.index = kParityIndexBit | static_cast<std::uint32_t>(i);
       PooledBuffer out = acquire_payload_buffer(kFecCombinedHeaderBytes + plen);
       ByteWriter fw(out.bytes);
-      write_headers(fw, context, root_world,
-                    parity_base + static_cast<std::uint64_t>(i), h);
+      const std::uint64_t seq = parity_base + static_cast<std::uint64_t>(i);
+      write_headers(fw, {context, root_world, seq}, h);
       out.bytes.resize(kFecCombinedHeaderBytes + plen, 0);
       pbufs.push_back(std::move(out));
       pspans.emplace_back(pbufs.back().bytes.data() + kFecCombinedHeaderBytes,
@@ -262,15 +206,10 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
     }
     gf256::encode_parity(dspans, pspans);
     for (int i = 0; i < rw; ++i) {
-      const std::uint64_t seq = ch.expected_seq();
-      PayloadRef framed =
-          PayloadRef::adopt(std::move(pbufs[static_cast<std::size_t>(i)]));
-      retain(state, seq, framed);
-      p.self().delay(p.costs().send_overhead(
-          static_cast<std::int64_t>(kFecHeaderBytes + plen),
-          mpi::CostTier::kMcastData));
-      ch.send(std::move(framed), net::FrameKind::kData);
-      ch.advance_seq();
+      state.history.multicast(
+          p, ch,
+          PayloadRef::adopt(std::move(pbufs[static_cast<std::size_t>(i)])),
+          kFecHeaderBytes + plen);
       ++state.stats.parity_sent;
       ++shard.counters().parity_sent;
     }
@@ -286,7 +225,7 @@ struct WindowState {
   int kw = 0;
   int rw = 0;
   std::vector<PayloadRef> data;                     // by window-local row
-  std::vector<std::pair<int, PayloadRef>> parity;   // (row, bytes)
+  ParityRows parity;
   int data_have = 0;
 
   void learn(const FecHeader& h) {
@@ -321,8 +260,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
   WindowState win;
 
   const SimTime start = p.self().now();
-  SimTime timeout = cfg.fallback_timeout;
-  int retries = 0;
+  RetryTimer timer(cfg.retry);
 
   const auto learn_geometry = [&](const FecHeader& h) {
     if (geom) {
@@ -347,10 +285,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     bool fresh = false;
     if (h.parity()) {
       const int row = h.parity_row();
-      const bool dup =
-          std::any_of(win.parity.begin(), win.parity.end(),
-                      [row](const auto& pr) { return pr.first == row; });
-      if (!dup) {
+      if (!has_row(win.parity, row)) {
         win.parity.emplace_back(row, std::move(body));
         fresh = true;
       }
@@ -371,9 +306,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
       }
     }
     if (fresh && !charged) {
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(kFecHeaderBytes + body.size()),
-          mpi::CostTier::kMcastData));
+      charge_mcast_recv(p, kFecHeaderBytes + body.size());
     }
   };
 
@@ -411,20 +344,11 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
         }
       }
       if (!missing.empty()) {
-        std::sort(win.parity.begin(), win.parity.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
         std::vector<std::span<const std::uint8_t>> dspans(
             static_cast<std::size_t>(win.kw));
         for (int jj = 0; jj < win.kw; ++jj) {
           dspans[static_cast<std::size_t>(jj)] =
               win.data[static_cast<std::size_t>(jj)].view();
-        }
-        std::vector<gf256::ParityRow> prows;
-        prows.reserve(win.parity.size());
-        for (const auto& [row, bytes] : win.parity) {
-          prows.push_back({row, bytes.view()});
         }
         std::vector<std::span<std::uint8_t>> outs;
         outs.reserve(missing.size());
@@ -433,11 +357,9 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
           outs.emplace_back(out.data() + static_cast<std::size_t>(j) * chunk,
                             chunk_len(j));
         }
-        gf256::decode(dspans, prows, missing, outs);
+        decode_window(dspans, win.parity, missing, outs, shard.counters());
         ++state.stats.decodes;
-        ++shard.counters().fec_decodes;
         state.stats.parity_used += missing.size();
-        shard.counters().parity_used += missing.size();
       }
       for (int jj = 0; jj < win.kw; ++jj) {
         const int j = chunks_before + jj;
@@ -456,8 +378,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
       ++cur_window;
       win_base = win_end;
       win = WindowState{};
-      timeout = cfg.fallback_timeout;
-      retries = 0;
+      timer.reset();
       if (chunks_before >= n_data) {
         return out;
       }
@@ -465,12 +386,11 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     }
 
     auto datagram = ch.socket().recv_until_charged(
-        p.self(), p.self().now() + timeout,
+        p.self(), p.self().now() + timer.timeout(),
         [&](const inet::UdpDatagram& dg) -> SimTime {
           ByteReader peek(dg.data);
-          (void)peek.u32();  // context
-          (void)peek.i32();  // root
-          (void)peek.u64();  // seq (FEC frames route by header, not seq)
+          // FEC frames route by sub-header, not by channel sequence.
+          (void)read_frame_header(peek);
           if (peek.remaining() < kFecHeaderBytes) {
             return kTimeZero;
           }
@@ -481,11 +401,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
           }
           // Charge only frames that advance the current window.
           if (h.parity()) {
-            const int row = h.parity_row();
-            if (std::any_of(win.parity.begin(), win.parity.end(),
-                            [row](const auto& pr) {
-                              return pr.first == row;
-                            })) {
+            if (has_row(win.parity, h.parity_row())) {
               return kTimeZero;
             }
           } else {
@@ -495,16 +411,11 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
               return kTimeZero;
             }
           }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() -
-                                        kMcastFrameHeaderBytes),
-              mpi::CostTier::kMcastData);
+          return mcast_recv_cost(p, dg.data.size() - kMcastFrameHeaderBytes);
         });
     if (datagram.has_value()) {
       ByteReader r(datagram->datagram.data);
-      (void)r.u32();  // context (validated by port/group)
-      (void)r.i32();  // root
-      const std::uint64_t seq = r.u64();
+      const std::uint64_t seq = read_frame_header(r).seq;
       if (r.remaining() < kFecHeaderBytes) {
         continue;  // not a FEC frame (foreign traffic on the channel)
       }
@@ -521,30 +432,27 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
         continue;
       }
       absorb(h, std::move(body), datagram->charge_absorbed);
-      timeout = cfg.fallback_timeout;  // progress: reset the fallback clock
+      timer.reset_timeout();  // progress: reset the fallback clock
       continue;
     }
 
     // Timeout: the window lost more than its parity can absorb (or the
     // blast has not reached us).  Fall back to one NACK round for the
     // missing data frames.
-    if (cfg.max_fallback_retries > 0 && retries >= cfg.max_fallback_retries) {
+    timer.step([&] {
       std::ostringstream os;
       os << "fec-mcast: rank " << comm.rank() << " gave up on window "
-         << cur_window << " from root " << root << " after " << retries
-         << " fallback rounds over "
+         << cur_window << " from root " << root << " after "
+         << timer.retries() << " fallback rounds over "
          << to_microseconds(p.self().now() - start)
          << " us — the root is unreachable or loss exceeds what parity + "
-            "NACK fallback can absorb; raise max_fallback_retries, "
-            "history_frames, or overhead";
-      throw std::runtime_error(os.str());
-    }
-    ++retries;
+            "NACK fallback can absorb; raise max_retries, history_frames, "
+            "or overhead";
+      return os.str();
+    });
     ++state.stats.fallbacks;
     ++shard.counters().fec_fallbacks;
     ++shard.counters().nacks_sent;
-    Buffer nack;
-    ByteWriter w(nack);
     std::vector<std::uint64_t> want;
     if (win.known) {
       for (int jj = 0; jj < win.kw; ++jj) {
@@ -561,15 +469,7 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     } else {
       want.push_back(win_base);  // geometry unknown: any frame restores it
     }
-    w.u32(static_cast<std::uint32_t>(want.size()));
-    for (const std::uint64_t seq : want) {
-      w.u64(seq);
-    }
-    p.send(comm, root, mpi::kTagFecNack, nack, net::FrameKind::kControl,
-           mpi::CostTier::kRaw);
-    const auto scaled = static_cast<std::int64_t>(
-        static_cast<double>(timeout.count()) * cfg.fallback_backoff);
-    timeout = std::min(SimTime{scaled}, cfg.fallback_timeout_cap);
+    send_nack(p, comm, root, mpi::kTagFecNack, NackFormat::kCounted, want);
   }
 }
 
@@ -617,28 +517,10 @@ void set_fec_config(Proc& p, const Comm& comm, const FecConfig& config) {
   if (config.calm_ops < 1) {
     throw std::invalid_argument("fec-mcast: calm_ops must be >= 1");
   }
-  if (config.fallback_timeout <= kTimeZero) {
-    throw std::invalid_argument("fec-mcast: fallback_timeout must be > 0");
-  }
-  if (config.fallback_backoff < 1.0) {
-    throw std::invalid_argument("fec-mcast: fallback_backoff must be >= 1");
-  }
-  if (config.fallback_timeout_cap < config.fallback_timeout) {
-    throw std::invalid_argument(
-        "fec-mcast: fallback_timeout_cap must be >= fallback_timeout");
-  }
-  if (config.max_fallback_retries < 0) {
-    throw std::invalid_argument(
-        "fec-mcast: max_fallback_retries must be >= 0");
-  }
-  if (config.aggregation_window < kTimeZero) {
-    throw std::invalid_argument(
-        "fec-mcast: aggregation_window must be >= 0");
-  }
-  if (config.history_frames < 1) {
-    throw std::invalid_argument("fec-mcast: history_frames must be >= 1");
-  }
+  validate(config.retry, "fec-mcast");
   FecState& state = p.coll_state<FecState>(comm);
+  state.history.set_limits(config.history_frames, config.aggregation_window,
+                           "fec-mcast");
   state.config = config;
   state.working = -1.0;  // re-seed the ratchet from the new floor
   state.primed = false;

@@ -36,6 +36,7 @@
 /// results are bit-identical across shard counts, drivers, and backends —
 /// the same contract as the fault plane.
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "mpi/proc.hpp"
@@ -59,30 +60,25 @@ struct FecConfig {
   std::uint64_t raise_threshold = 1;
   /// Consecutive drop-free broadcasts before the overhead steps back down.
   int calm_ops = 8;
-  /// Receiver-side silence window before the NACK fallback kicks in.
-  SimTime fallback_timeout = milliseconds(2);
-  /// Timeout multiplier after every unanswered fallback round.
-  double fallback_backoff = 2.0;
-  /// Backed-off fallback timeout ceiling.
-  SimTime fallback_timeout_cap = milliseconds(50);
-  /// Fallback rounds per window before the receiver gives up and throws
-  /// (0 = forever).
-  int max_fallback_retries = 30;
+  /// Receiver NACK-fallback timer: 2 ms of silence before the first
+  /// fallback round, doubling per unanswered round up to 50 ms; 30 rounds
+  /// per window before the receiver throws.
+  RetryPolicy retry{.timeout = milliseconds(2),
+                    .backoff = 2.0,
+                    .cap = milliseconds(50),
+                    .max_retries = 30};
   /// Root-side suppression window for retransmissions of one frame.
   SimTime aggregation_window = microseconds(500);
   /// Framed chunks (data + parity) retained for the NACK fallback.
   std::size_t history_frames = 256;
 };
 
-struct FecStats {
+struct FecStats : SinkStats {
   std::uint64_t windows_sent = 0;     // root: FEC windows encoded
   std::uint64_t parity_sent = 0;      // root: parity frames multicast
   std::uint64_t parity_used = 0;      // receiver: parity rows consumed
   std::uint64_t decodes = 0;          // receiver: windows reconstructed
   std::uint64_t fallbacks = 0;        // receiver: NACK fallback rounds
-  std::uint64_t nacks_served = 0;     // root sink: frames retransmitted
-  std::uint64_t nacks_suppressed = 0; // root sink: inside the window
-  std::uint64_t nacks_unserved = 0;   // root sink: history miss
   std::uint64_t overhead_raises = 0;  // root: adaptive ratchet up-steps
 };
 
@@ -108,7 +104,7 @@ const FecConfig& fec_config(mpi::Proc& p, const mpi::Comm& comm);
 
 /// Broadcast with FEC-coded reliability.  `buffer` is input at root,
 /// output elsewhere.  Throws std::runtime_error when a receiver exhausts
-/// max_fallback_retries on a window.
+/// its retry limit on a window.
 void bcast_fec_mcast(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                      int root);
 

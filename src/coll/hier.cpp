@@ -1,5 +1,6 @@
 #include "coll/hier.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <utility>
@@ -54,7 +55,8 @@ Buffer pack_blocks(const std::vector<Buffer>& blocks) {
     const auto len = static_cast<std::uint64_t>(b.size());
     std::memcpy(out.data() + at, &len, sizeof(len));
     at += sizeof(len);
-    std::memcpy(out.data() + at, b.data(), b.size());
+    std::copy(b.begin(), b.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(at));  // may be empty
     at += b.size();
   }
   return out;

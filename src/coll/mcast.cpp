@@ -9,37 +9,6 @@ namespace mcmpi::coll {
 using mpi::Comm;
 using mpi::Proc;
 
-namespace {
-
-/// Framing of a data multicast: everything a receiver needs to check the
-/// safe-program ordering argument of §4.
-struct McastHeader {
-  std::uint32_t context;
-  std::int32_t root_world;
-  std::uint64_t seq;
-};
-
-/// Serializes just the 16 B header; the payload goes down the stack as a
-/// separate gather part, so framing never re-buffers the data.
-Buffer header_bytes(const McastHeader& h) {
-  Buffer out;
-  out.reserve(kMcastFrameHeaderBytes);
-  ByteWriter w(out);
-  w.u32(h.context);
-  w.i32(h.root_world);
-  w.u64(h.seq);
-  return out;
-}
-
-McastHeader parse_header(ByteReader& r) {
-  McastHeader h;
-  h.context = r.u32();
-  h.root_world = r.i32();
-  h.seq = r.u64();
-  return h;
-}
-
-}  // namespace
 
 void wait_priced_chain(Proc& p, sim::WaitQueue& done,
                        const std::function<bool()>& complete,
@@ -184,11 +153,9 @@ void mcast_send_framed(Proc& p, const Comm& comm,
                        std::span<const std::uint8_t> payload, int root,
                        net::FrameKind kind, mpi::CostTier tier) {
   mpi::McastChannel& ch = p.mcast_channel(comm);
-  const McastHeader header{comm.context(), comm.world_rank_of(root),
-                           ch.expected_seq()};
-  p.self().delay(p.costs().send_overhead(
-      static_cast<std::int64_t>(payload.size()), tier));
-  ch.send(header_bytes(header), payload, kind);
+  const FrameHeader h{comm.context(), comm.world_rank_of(root),
+                      ch.expected_seq()};
+  send_framed(p, ch, h, payload, kind, tier);
   ch.advance_seq();
 }
 
@@ -203,15 +170,13 @@ Buffer mcast_recv_framed(Proc& p, const Comm& comm, int root,
     auto [d, charged] = ch.socket().recv_charged(
         p.self(), [&p, &ch, tier](const inet::UdpDatagram& dg) -> SimTime {
           ByteReader peek(dg.data);
-          if (parse_header(peek).seq < ch.expected_seq()) {
+          if (read_frame_header(peek).seq < ch.expected_seq()) {
             return kTimeZero;  // stale duplicate: skipped, never charged
           }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              tier);
+          return mcast_recv_cost(p, dg.data.size() - peek.position(), tier);
         });
     ByteReader r(d.data);
-    const McastHeader h = parse_header(r);
+    const FrameHeader h = read_frame_header(r);
     if (h.seq < ch.expected_seq()) {
       continue;  // stale duplicate (retransmitting protocols)
     }
@@ -226,8 +191,7 @@ Buffer mcast_recv_framed(Proc& p, const Comm& comm, int root,
     // into the rank's private buffer at the API boundary.
     Buffer payload = d.data.slice(r.position()).to_buffer();
     if (!charged) {
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()), tier));
+      charge_mcast_recv(p, payload.size(), tier);
     }
     ch.advance_seq();
     return payload;

@@ -24,6 +24,7 @@
 
 #include <functional>
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "mpi/proc.hpp"
 
@@ -46,11 +47,6 @@ void scout_gather_binary(mpi::Proc& p, const mpi::Comm& comm, int root);
 
 /// Linear scout gather: all non-root ranks scout straight to the root.
 void scout_gather_linear(mpi::Proc& p, const mpi::Comm& comm, int root);
-
-/// Wire size of the (context, root, sequence) framing header every framed
-/// multicast carries — budget it when sizing a datagram against the
-/// fragment-offset ceiling or a socket buffer.
-inline constexpr std::size_t kMcastFrameHeaderBytes = 16;
 
 /// Multicasts `payload` on the communicator's channel with the (context,
 /// root, sequence) framing; charges the sender software overhead for

@@ -48,17 +48,8 @@ AllgatherOutcome blast(Proc& p, const Comm& comm,
   // Fire.  Every block carries the same operation sequence number; senders
   // are identified by the root field.  Gather-send: header and payload are
   // assembled into the wire datagram in one pass.
-  {
-    Buffer header;
-    header.reserve(16);
-    ByteWriter w(header);
-    w.u32(comm.context());
-    w.i32(comm.world_rank_of(comm.rank()));
-    w.u64(op_seq);
-    p.self().delay(p.costs().send_overhead(
-        static_cast<std::int64_t>(data.size()), mpi::CostTier::kMcastData));
-    ch.send(header, data, net::FrameKind::kData);
-  }
+  send_framed(p, ch, {comm.context(), comm.world_rank_of(comm.rank()), op_seq},
+              data, net::FrameKind::kData);
 
   // Collect until complete or until the deadline says the rest are gone.
   const SimTime deadline = p.self().now() + timeout;
@@ -73,32 +64,27 @@ AllgatherOutcome blast(Proc& p, const Comm& comm,
         p.self(), deadline,
         [&](const inet::UdpDatagram& dg) -> SimTime {
           ByteReader peek(dg.data);
-          (void)peek.u32();  // context
-          const std::int32_t root_world = peek.i32();
-          if (peek.u64() != op_seq) {
+          const FrameHeader h = read_frame_header(peek);
+          if (h.seq != op_seq) {
             return kTimeZero;  // stale traffic from an earlier operation
           }
-          const int root = comm.group().rank_of(root_world);
+          const int root = comm.group().rank_of(h.root_world);
           if (root < 0 || have[static_cast<std::size_t>(root)]) {
             return kTimeZero;  // duplicate
           }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              mpi::CostTier::kMcastData);
+          return mcast_recv_cost(p, dg.data.size() - peek.position());
         });
     if (!datagram.has_value()) {
       break;  // remaining blocks were dropped on our socket buffer
     }
     ByteReader r(datagram->datagram.data);
-    const std::uint32_t context = r.u32();
-    const std::int32_t root_world = r.i32();
-    const std::uint64_t seq = r.u64();
-    if (seq < op_seq) {
+    const FrameHeader h = read_frame_header(r);
+    if (h.seq < op_seq) {
       continue;  // stale traffic from an earlier operation
     }
-    MC_ASSERT_MSG(seq == op_seq && context == comm.context(),
+    MC_ASSERT_MSG(h.seq == op_seq && h.context == comm.context(),
                   "unexpected future multicast during blast allgather");
-    const int root = comm.group().rank_of(root_world);
+    const int root = comm.group().rank_of(h.root_world);
     MC_ASSERT(root >= 0 && root != comm.rank());
     if (have[static_cast<std::size_t>(root)]) {
       continue;  // duplicate
@@ -106,9 +92,7 @@ AllgatherOutcome blast(Proc& p, const Comm& comm,
     have[static_cast<std::size_t>(root)] = true;
     auto payload = r.rest();
     if (!datagram->charge_absorbed) {
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()),
-          mpi::CostTier::kMcastData));
+      charge_mcast_recv(p, payload.size());
     }
     out.blocks[static_cast<std::size_t>(root)].assign(payload.begin(),
                                                       payload.end());

@@ -1,12 +1,6 @@
 #include "coll/nack_mcast.hpp"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
-#include <stdexcept>
-
 #include "common/assert.hpp"
-#include "sim/simulator.hpp"
 
 namespace mcmpi::coll {
 
@@ -17,183 +11,22 @@ namespace {
 
 struct NackState {
   NackMcastParams params;
-  // False until the params were pinned — by set_nack_mcast_params or by the
-  // first broadcast adopting the process-wide history default
-  // (Proc::nack_history_frames, wired from ClusterConfig / env).
-  bool params_set = false;
-  // Root side: sink per (context, tag), installed by the first broadcast
-  // this rank roots.  seq -> framed payload (shared refs: history and
-  // retransmissions reuse the original framed allocation).
-  bool sink_installed = false;
-  std::map<std::uint64_t, PayloadRef> history;
-  // seq -> last retransmission instant, for aggregation/suppression.
-  std::map<std::uint64_t, SimTime> last_resend;
-  // Receiver side: early frames (seq > expected), views of their datagrams.
-  std::map<std::uint64_t, PayloadRef> stash;
+  // Root side: retransmission history, served by a sink per (context, tag)
+  // installed by the first broadcast this rank roots.
+  RetainedHistory history{params.history_frames, params.aggregation_window};
+  EarlyFrames early;  // receiver side
   NackMcastStats stats;
 };
-
-PayloadRef frame(std::uint32_t context, std::int32_t root_world,
-                 std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  PooledBuffer out = acquire_payload_buffer(payload.size() + 16);
-  ByteWriter w(out.bytes);
-  w.u32(context);
-  w.i32(root_world);
-  w.u64(seq);
-  w.bytes(payload);
-  return PayloadRef::adopt(std::move(out));
-}
-
-/// Root-side NACK service: kernel-level (uncharged), alive for the
-/// communicator's lifetime — it serves receivers even after the root rank
-/// has left the collective, which is exactly what lets the root return
-/// without waiting for anyone.
-void install_sink(Proc& p, const Comm& comm, NackState& state) {
-  if (state.sink_installed) {
-    return;
-  }
-  state.sink_installed = true;
-  mpi::McastChannel* channel = &p.mcast_channel(comm);
-  NackState* st = &state;
-  // The sink always executes on the NACK's receiving rank — this rank — so
-  // the shard captured here is the one whose counters it may touch.
-  sim::Shard* shard = &p.self().shard();
-  p.engine().set_sink(
-      comm.context(), mpi::kTagNackMcast,
-      [channel, st, shard](mpi::Rank /*src*/, PayloadRef data) {
-        ByteReader r(data);
-        const std::uint64_t wanted = r.u64();
-        const auto it = st->history.find(wanted);
-        if (it == st->history.end()) {
-          ++st->stats.nacks_unserved;
-          return;
-        }
-        // Aggregation: a retransmission inside the window is already on
-        // the wire (multicast — it serves every receiver that missed the
-        // frame); drop the redundant request.
-        const SimTime now = shard->now();
-        const auto last = st->last_resend.find(wanted);
-        if (last != st->last_resend.end() &&
-            now - last->second < st->params.aggregation_window) {
-          ++st->stats.nacks_suppressed;
-          ++shard->counters().nacks_suppressed;
-          return;
-        }
-        st->last_resend[wanted] = now;
-        ++st->stats.nacks_served;
-        ++st->stats.retransmits;
-        ++shard->counters().retransmits;
-        channel->send(it->second, net::FrameKind::kData);
-      });
-}
-
-/// Receiver-side delivery with gap recovery: NACK the root on silence,
-/// backing off exponentially; stash early frames; throw when the retry cap
-/// is exhausted.
-Buffer recv_with_nack(Proc& p, const Comm& comm, NackState& state, int root,
-                      const NackMcastParams& params) {
-  mpi::McastChannel& ch = p.mcast_channel(comm);
-  const std::uint64_t expected = ch.expected_seq();
-  const SimTime start = p.self().now();
-  SimTime timeout = params.nack_timeout;
-  int retries = 0;
-  for (;;) {
-    // A retransmission (or a reordered original) may already be stashed.
-    if (const auto it = state.stash.find(expected); it != state.stash.end()) {
-      Buffer payload = it->second.to_buffer();
-      state.stash.erase(it);
-      ch.advance_seq();
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()),
-          mpi::CostTier::kMcastData));
-      return payload;
-    }
-    auto datagram = ch.socket().recv_until_charged(
-        p.self(), p.self().now() + timeout,
-        [&p, expected](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          (void)peek.u32();  // context
-          (void)peek.i32();  // root
-          if (peek.u64() != expected) {
-            return kTimeZero;  // duplicate or early frame: uncharged wake
-          }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              mpi::CostTier::kMcastData);
-        });
-    if (!datagram.has_value()) {
-      // Gap: request exactly the missing frame from the root.
-      if (params.max_retries > 0 && retries >= params.max_retries) {
-        std::ostringstream os;
-        os << "nack-mcast: rank " << comm.rank() << " gave up on seq "
-           << expected << " from root " << root << " after " << retries
-           << " NACKs over " << to_microseconds(p.self().now() - start)
-           << " us — the root is unreachable or loss exceeds what NACK "
-              "recovery can absorb; raise max_retries or timeout_cap";
-        throw std::runtime_error(os.str());
-      }
-      ++retries;
-      ++state.stats.nacks_sent;
-      ++p.self().shard().counters().nacks_sent;
-      Buffer nack;
-      ByteWriter w(nack);
-      w.u64(expected);
-      p.send(comm, root, mpi::kTagNackMcast, nack, net::FrameKind::kControl,
-             mpi::CostTier::kRaw);
-      const auto scaled = static_cast<std::int64_t>(
-          static_cast<double>(timeout.count()) * params.backoff);
-      timeout = std::min(SimTime{scaled}, params.timeout_cap);
-      continue;
-    }
-    ByteReader r(datagram->datagram.data);
-    (void)r.u32();  // context (validated by port/group)
-    (void)r.i32();  // root
-    const std::uint64_t seq = r.u64();
-    if (seq < expected) {
-      continue;  // duplicate
-    }
-    PayloadRef payload = datagram->datagram.data.slice(r.position());
-    if (seq > expected) {
-      state.stash.emplace(seq, std::move(payload));
-      continue;  // keep hunting for the gap frame
-    }
-    ch.advance_seq();
-    if (!datagram->charge_absorbed) {
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()),
-          mpi::CostTier::kMcastData));
-    }
-    return payload.to_buffer();
-  }
-}
 
 }  // namespace
 
 void set_nack_mcast_params(Proc& p, const Comm& comm,
                            const NackMcastParams& params) {
-  if (params.nack_timeout <= kTimeZero) {
-    throw std::invalid_argument("nack-mcast: nack_timeout must be > 0");
-  }
-  if (params.backoff < 1.0) {
-    throw std::invalid_argument("nack-mcast: backoff must be >= 1");
-  }
-  if (params.timeout_cap < params.nack_timeout) {
-    throw std::invalid_argument(
-        "nack-mcast: timeout_cap must be >= nack_timeout");
-  }
-  if (params.max_retries < 0) {
-    throw std::invalid_argument("nack-mcast: max_retries must be >= 0");
-  }
-  if (params.aggregation_window < kTimeZero) {
-    throw std::invalid_argument(
-        "nack-mcast: aggregation_window must be >= 0");
-  }
-  if (params.history_frames < 1) {
-    throw std::invalid_argument("nack-mcast: history_frames must be >= 1");
-  }
+  validate(params.retry, "nack-mcast");
   NackState& state = p.coll_state<NackState>(comm);
+  state.history.set_limits(params.history_frames, params.aggregation_window,
+                           "nack-mcast");
   state.params = params;
-  state.params_set = true;
 }
 
 const NackMcastParams& nack_mcast_params(Proc& p, const Comm& comm) {
@@ -207,33 +40,23 @@ void bcast_nack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root) {
   }
   mpi::McastChannel& ch = p.mcast_channel(comm);
   NackState& state = p.coll_state<NackState>(comm);
-  if (!state.params_set) {
-    state.params.history_frames = p.nack_history_frames();
-    state.params_set = true;
-  }
-  const NackMcastParams& params = state.params;
 
   if (comm.rank() == root) {
-    install_sink(p, comm, state);
-    const std::uint64_t seq = ch.expected_seq();
+    state.history.serve_nacks(p, comm, mpi::kTagNackMcast,
+                              NackFormat::kSingle, state.stats);
     // One framed allocation, shared between the outgoing multicast and the
     // retransmission history.
-    PayloadRef framed =
-        frame(comm.context(), comm.world_rank_of(root), seq, buffer);
-    state.history.emplace(seq, framed);
-    while (state.history.size() > params.history_frames) {
-      state.last_resend.erase(state.history.begin()->first);
-      state.history.erase(state.history.begin());
-    }
-    p.self().delay(p.costs().send_overhead(
-        static_cast<std::int64_t>(buffer.size()), mpi::CostTier::kMcastData));
-    ch.send(std::move(framed), net::FrameKind::kData);
-    ch.advance_seq();
+    state.history.multicast(
+        p, ch,
+        frame({comm.context(), comm.world_rank_of(root), ch.expected_seq()},
+              buffer),
+        buffer.size());
     // No waiting: the sink serves any recovery from here on.
     return;
   }
 
-  buffer = recv_with_nack(p, comm, state, root, params);
+  buffer = recv_in_order(p, comm, state.early, state.params.retry, root,
+                         mpi::kTagNackMcast, state.stats, "nack-mcast", root);
 }
 
 const NackMcastStats& nack_mcast_stats(Proc& p, const Comm& comm) {

@@ -28,6 +28,7 @@
 /// pays one NACK round trip per gap — the bench_loss_crossover sweep
 /// measures where it overtakes the ACK protocol as loss rises.
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "mpi/proc.hpp"
@@ -35,14 +36,13 @@
 namespace mcmpi::coll {
 
 struct NackMcastParams {
-  /// Receiver-side silence window before the first NACK for a gap.
-  SimTime nack_timeout = milliseconds(2);
-  /// Timeout multiplier after every unanswered NACK.
-  double backoff = 2.0;
-  /// Backed-off timeout ceiling.
-  SimTime timeout_cap = milliseconds(50);
-  /// NACKs per gap before the receiver gives up and throws (0 = forever).
-  int max_retries = 30;
+  /// Receiver NACK timer: 2 ms silence before the first NACK for a gap,
+  /// doubling per unanswered NACK up to 50 ms; 30 NACKs per gap before the
+  /// receiver throws.
+  RetryPolicy retry{.timeout = milliseconds(2),
+                    .backoff = 2.0,
+                    .cap = milliseconds(50),
+                    .max_retries = 30};
   /// Root-side suppression window: NACKs for a sequence already re-sent
   /// within this window are dropped (the multicast retransmission is on
   /// the wire and serves them all).
@@ -51,13 +51,7 @@ struct NackMcastParams {
   std::size_t history_frames = 64;
 };
 
-struct NackMcastStats {
-  std::uint64_t nacks_sent = 0;        // receiver side
-  std::uint64_t nacks_served = 0;      // root sink: retransmitted
-  std::uint64_t nacks_suppressed = 0;  // root sink: inside the window
-  std::uint64_t nacks_unserved = 0;    // root sink: history miss
-  std::uint64_t retransmits = 0;       // root sink: frames re-multicast
-};
+using NackMcastStats = NackStats;
 
 /// Sets the protocol parameters for `comm` (per-communicator, like
 /// set_segmented_config; keep it communicator-uniform).  Throws
@@ -68,7 +62,7 @@ const NackMcastParams& nack_mcast_params(mpi::Proc& p, const mpi::Comm& comm);
 
 /// Broadcast with receiver-driven reliability.  `buffer` is input at root,
 /// output elsewhere.  Throws std::runtime_error when a receiver exhausts
-/// max_retries — the root is unreachable or loss exceeds what NACK
+/// the retry limit — the root is unreachable or loss exceeds what NACK
 /// recovery can absorb.
 void bcast_nack_mcast(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                       int root);

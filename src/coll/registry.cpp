@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "coll/ack_mcast.hpp"
 #include "coll/fec.hpp"
@@ -48,6 +49,16 @@ std::string to_string(CollOp op) {
 }
 
 namespace {
+
+template <std::size_t... I>
+constexpr bool runs_in_op_order(std::index_sequence<I...>) {
+  return ((std::variant_alternative_t<I, CollRun>::kOp ==
+           static_cast<CollOp>(I)) &&
+          ...);
+}
+static_assert(
+    runs_in_op_order(std::make_index_sequence<std::variant_size_v<CollRun>>{}),
+    "CollAlgorithm::op() reads the operation off the run alternative index");
 
 /// Frames needed for an M-byte payload at T = 1472 payload bytes per frame
 /// (the paper's floor(M/T) + 1).
@@ -112,38 +123,31 @@ void register_builtins(Registry& r) {
   // ----------------------------------------------------------- broadcast
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kBcast,
       .description = "MPICH binomial tree over point-to-point (Fig. 2)",
       .applicable = always,
       // Paper §3.1: every tree edge carries a full copy.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_mpich(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast-binary",
-      .op = CollOp::kBcast,
       .description = "binomial scout gather, then one IP multicast (Fig. 3)",
       .applicable = fits_mcast_datagram,
       // (N-1) scouts in log2 N pipelined steps + the payload once.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return log2n(ranks) + frames(bytes); },
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_mcast_binary(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_mcast_binary}});
   r.add(CollAlgorithm{
       .name = "mcast-linear",
-      .op = CollOp::kBcast,
       .description = "linear scout gather, then one IP multicast (Fig. 4)",
       .applicable = fits_mcast_datagram,
       // N-1 sequential scout receives at the root + the payload once.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return (ranks - 1) + frames(bytes); },
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_mcast_linear(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_mcast_linear}});
   r.add(CollAlgorithm{
       .name = "ack-mcast",
-      .op = CollOp::kBcast,
       .description =
           "multicast first, resend until all ACK (ORNL/PVM negative result)",
       .applicable = fits_mcast_datagram,
@@ -154,11 +158,12 @@ void register_builtins(Registry& r) {
             return 1.5 * frames(bytes) + (ranks - 1);
           },
       .loss_tolerant = true,  // resends until every receiver ACKs
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_ack_mcast(p, comm, buffer, root); }});
+      .run = BcastRun{
+          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
+            bcast_ack_mcast(p, comm, buffer, root);
+          }}});
   r.add(CollAlgorithm{
       .name = "sequencer",
-      .op = CollOp::kBcast,
       .description =
           "sequencer-ordered multicast with NACK recovery (Orca-style)",
       .applicable = fits_mcast_datagram,
@@ -167,11 +172,12 @@ void register_builtins(Registry& r) {
       .cost_hint = [](std::size_t bytes,
                       int ranks [[maybe_unused]]) { return 1 + frames(bytes); },
       .loss_tolerant = true,  // gap detection + NACK to the sequencer
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_sequencer(p, comm, buffer, root); }});
+      .run = BcastRun{
+          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
+            bcast_sequencer(p, comm, buffer, root);
+          }}});
   r.add(CollAlgorithm{
       .name = "nack-mcast",
-      .op = CollOp::kBcast,
       .description = "receiver-driven NACK multicast: blast the payload, "
                      "receivers NACK gaps, sender retransmits with "
                      "aggregation/suppression (SRM-style)",
@@ -184,11 +190,9 @@ void register_builtins(Registry& r) {
         return 1.5 + frames(bytes);
       },
       .loss_tolerant = true,  // the point: NACK-driven retransmission
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_nack_mcast(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_nack_mcast}});
   r.add(CollAlgorithm{
       .name = "fec-mcast",
-      .op = CollOp::kBcast,
       .description = "FEC-coded multicast: k data + r Reed–Solomon parity "
                      "chunks per window, any k of k+r reconstruct — zero "
                      "recovery round trips up to r losses, NACK fallback "
@@ -203,11 +207,9 @@ void register_builtins(Registry& r) {
         return 1.5 + 1.125 * frames(bytes);
       },
       .loss_tolerant = true,  // the point: in-window erasure recovery
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_fec_mcast(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_fec_mcast}});
   r.add(CollAlgorithm{
       .name = "scatter-allgather",
-      .op = CollOp::kBcast,
       .description =
           "scatter + ring allgather for long messages (van de Geijn)",
       .applicable = always,
@@ -216,13 +218,9 @@ void register_builtins(Registry& r) {
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return 2.0 * frames(bytes) + (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .bcast =
-          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
-            bcast_scatter_allgather(p, comm, buffer, root);
-          }});
+      .run = BcastRun{bcast_scatter_allgather}});
   r.add(CollAlgorithm{
       .name = "mcast-segmented",
-      .op = CollOp::kBcast,
       .description = "segmented pipelined multicast: chunked stream, sliding "
                      "ack window, optional multi-lane striping — no payload "
                      "size ceiling",
@@ -236,13 +234,9 @@ void register_builtins(Registry& r) {
                    chunk_count(bytes) * (ranks - 1);
           },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
-      .bcast =
-          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
-            bcast_mcast_segmented(p, comm, buffer, root);
-          }});
+      .run = BcastRun{bcast_mcast_segmented}});
   r.add(CollAlgorithm{
       .name = "hier-mcast",
-      .op = CollOp::kBcast,
       .description = "hierarchical: root -> segment leaders over the trunks "
                      "once, then per-segment multicast (MagPIe-style)",
       .applicable = [](const mpi::Comm& comm,
@@ -256,13 +250,11 @@ void register_builtins(Registry& r) {
                    log2n(std::max(ranks / segs, 2)) + frames(bytes);
           },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_hier(p, comm, buffer, root); }});
+      .run = BcastRun{bcast_hier}});
 
   // ------------------------------------------------------------- barrier
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kBarrier,
       .description = "MPICH three-phase point-to-point barrier (Fig. 5)",
       .applicable = always,
       .cost_hint =
@@ -272,19 +264,15 @@ void register_builtins(Registry& r) {
             return 2.0 * (ranks - k) + k * std::log2(k);
           },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .barrier = [](mpi::Proc& p,
-                    const mpi::Comm& comm) { barrier_mpich(p, comm); }});
+      .run = BarrierRun{barrier_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast",
-      .op = CollOp::kBarrier,
       .description = "scout reduction + one multicast release (§3.2)",
       .applicable = always,
       .cost_hint = [](std::size_t, int ranks) { return ranks - 1 + 1.0; },
-      .barrier = [](mpi::Proc& p,
-                    const mpi::Comm& comm) { barrier_mcast(p, comm); }});
+      .run = BarrierRun{barrier_mcast}});
   r.add(CollAlgorithm{
       .name = "hier",
-      .op = CollOp::kBarrier,
       .description = "hierarchical: intra fold to segment leaders, two flat "
                      "trunk rounds among leaders, intra release",
       .applicable = [](const mpi::Comm& comm,
@@ -298,8 +286,7 @@ void register_builtins(Registry& r) {
                    2.0 * log2n(std::max(ranks / segs, 2));
           },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .barrier = [](mpi::Proc& p,
-                    const mpi::Comm& comm) { barrier_hier(p, comm); }});
+      .run = BarrierRun{barrier_hier}});
 
   // ----------------------------------------------------------- allreduce
   // MPICH-1.x shape: binomial reduce to rank 0, then broadcast — with the
@@ -308,7 +295,6 @@ void register_builtins(Registry& r) {
   for (const char* stage : {"mpich", "mcast-binary", "mcast-linear"}) {
     r.add(CollAlgorithm{
         .name = stage,
-        .op = CollOp::kAllreduce,
         .description = std::string("binomial reduce to rank 0, then ") +
                        stage + " broadcast",
         // The broadcast stage's own limits apply: the multicast stages are
@@ -328,7 +314,7 @@ void register_builtins(Registry& r) {
         // Tolerant exactly when the broadcast stage is (the reduce stage is
         // always p2p over the reliable transport).
         .loss_tolerant = std::string_view(stage) == "mpich",
-        .allreduce =
+        .run = AllreduceRun{
             [stage](mpi::Proc& p, const mpi::Comm& comm,
                     std::span<const std::uint8_t> data, mpi::Op op,
                     mpi::Datatype type) {
@@ -338,13 +324,12 @@ void register_builtins(Registry& r) {
               }
               Registry::instance()
                   .get(CollOp::kBcast, stage)
-                  .bcast(p, comm, result, /*root=*/0);
+                  .fn<BcastRun>()(p, comm, result, /*root=*/0);
               return result;
-            }});
+            }}});
   }
   r.add(CollAlgorithm{
       .name = "hier",
-      .op = CollOp::kAllreduce,
       .description = "hierarchical: intra reduce to segment leaders, leader "
                      "combine over the trunks, intra release broadcast",
       // Contiguous segment blocks keep the leader combine in comm rank
@@ -363,55 +348,44 @@ void register_builtins(Registry& r) {
                    intra + frames(bytes);
           },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
-      .allreduce = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data, mpi::Op op,
-                      mpi::Datatype type) {
-        return allreduce_hier(p, comm, data, op, type);
-      }});
+      .run = AllreduceRun{allreduce_hier}});
 
   // ----------------------------------------------------------- allgather
   r.add(CollAlgorithm{
       .name = "ring",
-      .op = CollOp::kAllgather,
       .description = "point-to-point ring allgather (N-1 shift steps)",
       .applicable = always,
       // N(N-1) block-hops in total, N-1 steps on the critical path.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data) {
-        return allgather_mpich(p, comm, data);
-      }});
+      .run = AllgatherRun{allgather_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast-lockstep",
-      .op = CollOp::kAllgather,
       .description =
           "each block multicast once, in rank order behind one barrier",
       .applicable = fits_mcast_datagram,
       // Every block crosses the wire exactly once, serialized by rounds.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * ranks + ranks; },
-      .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data) {
+      .run = AllgatherRun{[](mpi::Proc& p, const mpi::Comm& comm,
+                             std::span<const std::uint8_t> data) {
         return allgather_mcast(p, comm, data, AllgatherMode::kLockstep).blocks;
-      }});
+      }}});
   r.add(CollAlgorithm{
       .name = "mcast-blast",
-      .op = CollOp::kAllgather,
       .description = "every rank multicasts at once — fastest pacing, may "
                      "drop blocks to receiver overrun (§2/§5 hazard)",
       .applicable = fits_mcast_datagram,
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) + 2.0 * ranks; },
       .lossy = true,
-      .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data) {
+      .run = AllgatherRun{[](mpi::Proc& p, const mpi::Comm& comm,
+                             std::span<const std::uint8_t> data) {
         return allgather_mcast(p, comm, data, AllgatherMode::kBlast).blocks;
-      }});
+      }}});
   r.add(CollAlgorithm{
       .name = "mcast-segmented",
-      .op = CollOp::kAllgather,
       .description = "N rank-ordered segmented pipelined multicast streams — "
                      "no block size ceiling",
       .applicable = always,
@@ -424,13 +398,12 @@ void register_builtins(Registry& r) {
                     chunk_count(bytes) * (ranks - 1));
           },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
-      .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data) {
+      .run = AllgatherRun{[](mpi::Proc& p, const mpi::Comm& comm,
+                             std::span<const std::uint8_t> data) {
         return allgather_mcast_segmented(p, comm, data);
-      }});
+      }}});
   r.add(CollAlgorithm{
       .name = "hier",
-      .op = CollOp::kAllgather,
       .description = "hierarchical: intra gather to segment leaders, leader "
                      "bundle exchange over the trunks (each byte crosses "
                      "each trunk once), intra release broadcast",
@@ -448,15 +421,11 @@ void register_builtins(Registry& r) {
                    hier_trunk_cost_hint() * result_frames + result_frames;
           },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
-      .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
-                      std::span<const std::uint8_t> data) {
-        return allgather_hier(p, comm, data);
-      }});
+      .run = AllgatherRun{allgather_hier}});
 
   // -------------------------------------------------------------- reduce
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kReduce,
       .description = "binomial-tree reduction over point-to-point",
       .applicable = always,
       // log2 N combining rounds, a full payload per tree edge on the
@@ -464,14 +433,9 @@ void register_builtins(Registry& r) {
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * log2n(ranks); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .reduce = [](mpi::Proc& p, const mpi::Comm& comm,
-                   std::span<const std::uint8_t> data, mpi::Op op,
-                   mpi::Datatype type,
-                   int root) { return reduce_mpich(p, comm, data, op, type,
-                                                   root); }});
+      .run = ReduceRun{reduce_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast-scout",
-      .op = CollOp::kReduce,
       .description = "lockstep multicast of operands, slice-combining on "
                      "every rank, scout-gathered partials to root",
       .applicable =
@@ -486,16 +450,11 @@ void register_builtins(Registry& r) {
                    frames(bytes / static_cast<std::size_t>(
                                       std::max(ranks, 1)));
           },
-      .reduce = [](mpi::Proc& p, const mpi::Comm& comm,
-                   std::span<const std::uint8_t> data, mpi::Op op,
-                   mpi::Datatype type, int root) {
-        return reduce_mcast_scout(p, comm, data, op, type, root);
-      }});
+      .run = ReduceRun{reduce_mcast_scout}});
 
   // -------------------------------------------------------------- gather
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kGather,
       .description = "linear gather over blocking point-to-point sends",
       .applicable = always,
       // N-1 serial receives at the root, plus the senders' blocking send
@@ -505,12 +464,9 @@ void register_builtins(Registry& r) {
         return (frames(bytes) + 1.0) * (ranks - 1);
       },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .gather = [](mpi::Proc& p, const mpi::Comm& comm,
-                   std::span<const std::uint8_t> data,
-                   int root) { return gather_mpich(p, comm, data, root); }});
+      .run = GatherRun{gather_mpich}});
   r.add(CollAlgorithm{
       .name = "scout-combining",
-      .op = CollOp::kGather,
       .description = "fire-and-forget data scouts, aggregate charged "
                      "collection at the root",
       .applicable = fits_eager,
@@ -518,27 +474,19 @@ void register_builtins(Registry& r) {
       // the root wakes once.
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * (ranks - 1); },
-      .gather = [](mpi::Proc& p, const mpi::Comm& comm,
-                   std::span<const std::uint8_t> data, int root) {
-        return gather_scout_combining(p, comm, data, root);
-      }});
+      .run = GatherRun{gather_scout_combining}});
 
   // ------------------------------------------------------------- scatter
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kScatter,
       .description = "linear scatter over blocking point-to-point sends",
       .applicable = always,
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
-                    const std::vector<Buffer>& chunks,
-                    int root) { return scatter_mpich(p, comm, chunks,
-                                                     root); }});
+      .run = ScatterRun{scatter_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast-slice",
-      .op = CollOp::kScatter,
       .description = "one multicast of the concatenated payload, each rank "
                      "slices its chunk (Zhou et al. bandwidth saving)",
       // bytes is the per-rank chunk size; the concatenated datagram must
@@ -555,13 +503,9 @@ void register_builtins(Registry& r) {
         return log2n(ranks) +
                frames(bytes * static_cast<std::size_t>(std::max(ranks, 1)));
       },
-      .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
-                    const std::vector<Buffer>& chunks, int root) {
-        return scatter_mcast_slice(p, comm, chunks, root);
-      }});
+      .run = ScatterRun{scatter_mcast_slice}});
   r.add(CollAlgorithm{
       .name = "mcast-segmented",
-      .op = CollOp::kScatter,
       .description = "segmented pipelined multicast of [table ‖ blocks]; "
                      "receivers keep their range — no payload size ceiling",
       .applicable = always,
@@ -575,15 +519,11 @@ void register_builtins(Registry& r) {
             return log2n(ranks) + frames(total) +
                    chunk_count(total) * (ranks - 1);
           },
-      .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
-                    const std::vector<Buffer>& chunks, int root) {
-        return scatter_mcast_segmented(p, comm, chunks, root);
-      }});
+      .run = ScatterRun{scatter_mcast_segmented}});
 
   // ------------------------------------------------------------ alltoall
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kAlltoall,
       .description = "pairwise-shift alltoall over point-to-point sendrecv",
       .applicable = always,
       // N-1 exchange steps on the critical path, one block each way per
@@ -591,13 +531,9 @@ void register_builtins(Registry& r) {
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return 2.0 * frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
-                     const std::vector<Buffer>& to_each) {
-        return alltoall_mpich(p, comm, to_each);
-      }});
+      .run = AlltoallRun{alltoall_mpich}});
   r.add(CollAlgorithm{
       .name = "mcast-rr",
-      .op = CollOp::kAlltoall,
       .description = "round-robin lockstep: each rank multicasts its whole "
                      "personalized vector once, receivers slice their block",
       // The concatenated vector (+ table) must fit one multicast datagram
@@ -617,38 +553,26 @@ void register_builtins(Registry& r) {
                                       std::max(ranks, 1))) *
                        ranks;
           },
-      .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
-                     const std::vector<Buffer>& to_each) {
-        return alltoall_mcast_rr(p, comm, to_each);
-      }});
+      .run = AlltoallRun{alltoall_mcast_rr}});
 
   // ---------------------------------------------------------------- scan
   r.add(CollAlgorithm{
       .name = "mpich",
-      .op = CollOp::kScan,
       .description = "linear-chain inclusive prefix (MPICH 1.x)",
       .applicable = always,
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .scan = [](mpi::Proc& p, const mpi::Comm& comm,
-                 std::span<const std::uint8_t> data, mpi::Op op,
-                 mpi::Datatype type) { return scan_mpich(p, comm, data, op,
-                                                         type); }});
+      .run = ScanRun{scan_mpich}});
   r.add(CollAlgorithm{
       .name = "binomial",
-      .op = CollOp::kScan,
       .description =
           "recursive-doubling prefix over binomial segments (log2 N rounds)",
       .applicable = always,
       .cost_hint = [](std::size_t bytes,
                       int ranks) { return frames(bytes) * log2n(ranks); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
-      .scan = [](mpi::Proc& p, const mpi::Comm& comm,
-                 std::span<const std::uint8_t> data, mpi::Op op,
-                 mpi::Datatype type) {
-        return scan_doubling(p, comm, data, op, type);
-      }});
+      .run = ScanRun{scan_doubling}});
 }
 
 }  // namespace
@@ -666,50 +590,29 @@ void Registry::add(CollAlgorithm algo) {
   if (algo.name.empty()) {
     throw std::invalid_argument("collective algorithm needs a name");
   }
-  const bool has_run = [&] {
-    switch (algo.op) {
-      case CollOp::kBcast:
-        return static_cast<bool>(algo.bcast);
-      case CollOp::kBarrier:
-        return static_cast<bool>(algo.barrier);
-      case CollOp::kAllreduce:
-        return static_cast<bool>(algo.allreduce);
-      case CollOp::kAllgather:
-        return static_cast<bool>(algo.allgather);
-      case CollOp::kReduce:
-        return static_cast<bool>(algo.reduce);
-      case CollOp::kGather:
-        return static_cast<bool>(algo.gather);
-      case CollOp::kScatter:
-        return static_cast<bool>(algo.scatter);
-      case CollOp::kScan:
-        return static_cast<bool>(algo.scan);
-      case CollOp::kAlltoall:
-        return static_cast<bool>(algo.alltoall);
-    }
-    return false;
-  }();
+  const bool has_run = std::visit(
+      [](const auto& run) { return static_cast<bool>(run.fn); }, algo.run);
   if (!has_run) {
     throw std::invalid_argument("algorithm '" + algo.name +
                                 "' lacks a run function for op " +
-                                to_string(algo.op));
+                                to_string(algo.op()));
   }
-  if (find(algo.op, algo.name) != nullptr) {
+  if (find(algo.op(), algo.name) != nullptr) {
     throw std::invalid_argument("duplicate collective algorithm: " +
-                                to_string(algo.op) + "/" + algo.name);
+                                to_string(algo.op()) + "/" + algo.name);
   }
   entries_.push_back(std::move(algo));
 }
 
 bool Registry::remove(CollOp op, const std::string& name) {
   return std::erase_if(entries_, [&](const CollAlgorithm& a) {
-           return a.op == op && a.name == name;
+           return a.op() == op && a.name == name;
          }) > 0;
 }
 
 const CollAlgorithm* Registry::find(CollOp op, const std::string& name) const {
   for (const CollAlgorithm& a : entries_) {
-    if (a.op == op && a.name == name) {
+    if (a.op() == op && a.name == name) {
       return &a;
     }
   }
@@ -734,7 +637,7 @@ const CollAlgorithm& Registry::get(CollOp op, const std::string& name) const {
 std::vector<std::string> Registry::names(CollOp op) const {
   std::vector<std::string> out;
   for (const CollAlgorithm& a : entries_) {
-    if (a.op == op) {
+    if (a.op() == op) {
       out.push_back(a.name);
     }
   }
@@ -746,7 +649,7 @@ std::vector<std::string> Registry::applicable_names(CollOp op,
                                                     std::size_t bytes) const {
   std::vector<std::string> out;
   for (const CollAlgorithm& a : entries_) {
-    if (a.op == op && (!a.applicable || a.applicable(comm, bytes))) {
+    if (a.op() == op && (!a.applicable || a.applicable(comm, bytes))) {
       out.push_back(a.name);
     }
   }

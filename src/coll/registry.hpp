@@ -6,7 +6,8 @@
 /// scout variants, the related-work ack-mcast/sequencer protocols, the van
 /// de Geijn scatter-allgather extension, the multicast allgather pacing
 /// disciplines — registers one uniform CollAlgorithm entry: a run function
-/// per operation, an applicability predicate, and an analytic cost hint.
+/// (whose type names the operation), an applicability predicate, and an
+/// analytic cost hint.
 /// Benches and tests sweep the registry instead of hardcoded enum lists, so
 /// a newly registered algorithm is swept, tested and selectable for free;
 /// the kAuto policy (tuning.hpp) resolves over the same entries.
@@ -18,6 +19,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -48,11 +50,71 @@ inline constexpr CollOp kAllCollOps[] = {
     CollOp::kAlltoall,
 };
 
-/// One registered algorithm.  Exactly one run function — the one matching
-/// `op` — is set.
+/// The run function of an entry for collective `Op`, with that
+/// operation's signature.
+template <CollOp Op, typename Signature>
+struct RunFn {
+  static constexpr CollOp kOp = Op;
+  std::function<Signature> fn;
+};
+
+using BcastRun = RunFn<CollOp::kBcast,
+                       void(mpi::Proc&, const mpi::Comm&, Buffer& buffer,
+                            int root)>;
+using BarrierRun = RunFn<CollOp::kBarrier, void(mpi::Proc&, const mpi::Comm&)>;
+using AllreduceRun =
+    RunFn<CollOp::kAllreduce,
+          Buffer(mpi::Proc&, const mpi::Comm&,
+                 std::span<const std::uint8_t> data, mpi::Op op,
+                 mpi::Datatype type)>;
+/// Returns comm.size() blocks, indexed by comm rank (lossy entries may
+/// leave blocks empty).
+using AllgatherRun =
+    RunFn<CollOp::kAllgather,
+          std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
+                              std::span<const std::uint8_t> data)>;
+/// Returns the reduced vector at `root`, empty elsewhere.  Operands are
+/// combined in communicator rank order (observable for non-commutative
+/// custom ops).
+using ReduceRun =
+    RunFn<CollOp::kReduce,
+          Buffer(mpi::Proc&, const mpi::Comm&,
+                 std::span<const std::uint8_t> data, mpi::Op op,
+                 mpi::Datatype type, int root)>;
+/// Returns comm.size() blocks at `root` (indexed by comm rank), an empty
+/// vector elsewhere.
+using GatherRun =
+    RunFn<CollOp::kGather,
+          std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
+                              std::span<const std::uint8_t> data, int root)>;
+/// `chunks` is root-only input (comm.size() entries, ignored elsewhere);
+/// returns this rank's chunk.
+using ScatterRun =
+    RunFn<CollOp::kScatter, Buffer(mpi::Proc&, const mpi::Comm&,
+                                   const std::vector<Buffer>& chunks,
+                                   int root)>;
+/// Inclusive prefix reduction: rank r returns op over ranks 0..r.
+using ScanRun = RunFn<CollOp::kScan,
+                      Buffer(mpi::Proc&, const mpi::Comm&,
+                             std::span<const std::uint8_t> data, mpi::Op op,
+                             mpi::Datatype type)>;
+/// Personalized all-to-all: `to_each[i]` goes to comm rank i (comm.size()
+/// entries); returns comm.size() blocks, block r being what rank r sent
+/// to this rank.
+using AlltoallRun =
+    RunFn<CollOp::kAlltoall,
+          std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
+                              const std::vector<Buffer>& to_each)>;
+
+/// One run function per entry; alternatives in CollOp declaration order.
+using CollRun = std::variant<BcastRun, BarrierRun, AllreduceRun, AllgatherRun,
+                             ReduceRun, GatherRun, ScatterRun, ScanRun,
+                             AlltoallRun>;
+
+/// One registered algorithm.  Its operation is the one its run function
+/// serves.
 struct CollAlgorithm {
   std::string name;  ///< registry key, e.g. "mcast-binary"
-  CollOp op = CollOp::kBcast;
   std::string description;
 
   /// May this algorithm serve (comm, payload bytes)?  Null means always.
@@ -76,48 +138,16 @@ struct CollAlgorithm {
   /// fault conformance sweep checks exactly these entries.
   bool loss_tolerant = false;
 
-  // --- run functions (one set, per op) ---
-  std::function<void(mpi::Proc&, const mpi::Comm&, Buffer& buffer, int root)>
-      bcast;
-  std::function<void(mpi::Proc&, const mpi::Comm&)> barrier;
-  std::function<Buffer(mpi::Proc&, const mpi::Comm&,
-                       std::span<const std::uint8_t> data, mpi::Op op,
-                       mpi::Datatype type)>
-      allreduce;
-  /// Returns comm.size() blocks, indexed by comm rank (lossy entries may
-  /// leave blocks empty).
-  std::function<std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
-                                    std::span<const std::uint8_t> data)>
-      allgather;
-  /// Returns the reduced vector at `root`, empty elsewhere.  Operands are
-  /// combined in communicator rank order (observable for non-commutative
-  /// custom ops).
-  std::function<Buffer(mpi::Proc&, const mpi::Comm&,
-                       std::span<const std::uint8_t> data, mpi::Op op,
-                       mpi::Datatype type, int root)>
-      reduce;
-  /// Returns comm.size() blocks at `root` (indexed by comm rank), an empty
-  /// vector elsewhere.
-  std::function<std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
-                                    std::span<const std::uint8_t> data,
-                                    int root)>
-      gather;
-  /// `chunks` is root-only input (comm.size() entries, ignored elsewhere);
-  /// returns this rank's chunk.
-  std::function<Buffer(mpi::Proc&, const mpi::Comm&,
-                       const std::vector<Buffer>& chunks, int root)>
-      scatter;
-  /// Inclusive prefix reduction: rank r returns op over ranks 0..r.
-  std::function<Buffer(mpi::Proc&, const mpi::Comm&,
-                       std::span<const std::uint8_t> data, mpi::Op op,
-                       mpi::Datatype type)>
-      scan;
-  /// Personalized all-to-all: `to_each[i]` goes to comm rank i (comm.size()
-  /// entries); returns comm.size() blocks, block r being what rank r sent
-  /// to this rank.
-  std::function<std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
-                                    const std::vector<Buffer>& to_each)>
-      alltoall;
+  CollRun run;
+
+  CollOp op() const { return static_cast<CollOp>(run.index()); }
+
+  /// The run function, typed; throws std::bad_variant_access when the
+  /// entry serves another operation.
+  template <typename Run>
+  const auto& fn() const {
+    return std::get<Run>(run).fn;
+  }
 };
 
 /// Process-wide algorithm registry.  Not thread-safe by design: the
@@ -129,7 +159,7 @@ class Registry {
   static Registry& instance();
 
   /// Registers `algo`; throws std::invalid_argument on a duplicate
-  /// (op, name) or a missing/mismatched run function.
+  /// (op, name) or an empty run function.
   void add(CollAlgorithm algo);
 
   /// Unregisters (op, name); returns false if absent.  For plugin

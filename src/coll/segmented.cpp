@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
 #include "coll/gf256.hpp"
 #include "coll/limits.hpp"
@@ -25,22 +24,15 @@ namespace {
 constexpr std::size_t kCombinedHeaderBytes =
     kMcastFrameHeaderBytes + kSegHeaderBytes;
 
-/// Top bit of SegHeader::index marks a parity frame of the FEC recovery
-/// mode; the low bits are the parity row and SegHeader::offset carries the
-/// generation index.  Data frames never set it (a stream is capped far
-/// below 2^31 chunks by the u32 count), so the pre-FEC wire format is
-/// untouched when fec_overhead == 0.
-constexpr std::uint32_t kParityIndexBit = 0x80000000u;
-
-struct SegmentedState {
-  SegmentedConfig config;
-};
-
 struct SegHeader {
   std::uint32_t context = 0;
   std::int32_t root_world = 0;
   std::uint64_t seq = 0;      // per-lane channel sequence
-  std::uint32_t index = 0;    // chunk number, 0-based
+  // Chunk number, 0-based.  A parity frame of the FEC recovery mode sets
+  // kParityIndexBit over its parity row, and `offset` carries its
+  // generation; data frames never set the bit (the u32 count caps a
+  // stream far below 2^31 chunks), so FEC off keeps the wire format.
+  std::uint32_t index = 0;
   std::uint32_t count = 0;    // total chunks of this stream
   std::uint64_t offset = 0;   // chunk's first byte within the stream
   std::uint64_t length = 0;   // chunk payload bytes
@@ -51,9 +43,7 @@ Buffer seg_header_bytes(const SegHeader& h) {
   Buffer out;
   out.reserve(kCombinedHeaderBytes);
   ByteWriter w(out);
-  w.u32(h.context);
-  w.i32(h.root_world);
-  w.u64(h.seq);
+  write_frame_header(w, {h.context, h.root_world, h.seq});
   w.u32(h.index);
   w.u32(h.count);
   w.u64(h.offset);
@@ -63,10 +53,8 @@ Buffer seg_header_bytes(const SegHeader& h) {
 }
 
 SegHeader parse_seg_header(ByteReader& r) {
-  SegHeader h;
-  h.context = r.u32();
-  h.root_world = r.i32();
-  h.seq = r.u64();
+  const FrameHeader frame = read_frame_header(r);
+  SegHeader h{frame.context, frame.root_world, frame.seq};
   h.index = r.u32();
   h.count = r.u32();
   h.offset = r.u64();
@@ -157,8 +145,7 @@ void segmented_send(Proc& p, const Comm& comm, int root,
                       i,              n_chunks,                  c.offset,
                       c.length,       total};
     const Buffer header = seg_header_bytes(h);
-    p.self().delay(p.costs().send_overhead(
-        static_cast<std::int64_t>(c.length), mpi::CostTier::kMcastData));
+    charge_mcast_send(p, c.length);
     parts.clear();
     parts.push_back(header);
     collect_chunk_parts(stream, c.offset, c.length, parts);
@@ -223,8 +210,7 @@ void segmented_send(Proc& p, const Comm& comm, int root,
                         plen,
                         total};
       const Buffer header = seg_header_bytes(h);
-      p.self().delay(p.costs().send_overhead(static_cast<std::int64_t>(plen),
-                                             mpi::CostTier::kMcastData));
+      charge_mcast_send(p, plen);
       parts.clear();
       parts.push_back(header);
       parts.push_back(scratch.bytes);
@@ -234,15 +220,13 @@ void segmented_send(Proc& p, const Comm& comm, int root,
     }
   };
 
-  SimTime timeout = cfg.retransmit_timeout;
-  int dry_timeouts = 0;  // consecutive ack-less deadlines
+  RetryTimer timer(cfg.retry);  // retries: consecutive ack-less deadlines
   const auto consume_one_ack = [&] {
     for (;;) {
-      const auto ack = p.wait_until(request, p.self().now() + timeout, nullptr,
-                                    mpi::CostTier::kRaw);
+      const auto ack = p.wait_until(request, p.self().now() + timer.timeout(),
+                                    nullptr, mpi::CostTier::kRaw);
       if (ack.has_value()) {
-        timeout = cfg.retransmit_timeout;
-        dry_timeouts = 0;
+        timer.reset();
         ByteReader r(*ack);
         const std::uint32_t index = r.u32();
         MC_ASSERT_MSG(index < n_chunks, "ack for an unknown chunk");
@@ -264,25 +248,21 @@ void segmented_send(Proc& p, const Comm& comm, int root,
       // Timeout: somebody missed a chunk (drop or slow drain) — recover the
       // oldest outstanding one and keep waiting, backing the deadline off
       // so retransmissions stop colliding with the acks they provoke.
-      if (cfg.max_retries > 0 && dry_timeouts >= cfg.max_retries) {
+      timer.step([&] {
         std::ostringstream os;
         os << "mcast-segmented: root rank " << root << " gave up after "
-           << dry_timeouts << " consecutive ack-less timeouts ("
+           << timer.retries() << " consecutive ack-less timeouts ("
            << retired_count << " of " << n_chunks
            << " chunks retired) — loss rate exceeds what the window can "
-              "absorb; raise max_retries or retransmit_timeout_cap";
-        throw std::runtime_error(os.str());
-      }
-      ++dry_timeouts;
+              "absorb; raise max_retries or the retry cap";
+        return os.str();
+      });
       for (std::uint32_t i = 0; i < sent; ++i) {
         if (!chunks[i].retired) {
           transmit(i, false);
           break;
         }
       }
-      const auto scaled = static_cast<std::int64_t>(
-          static_cast<double>(timeout.count()) * cfg.retransmit_backoff);
-      timeout = std::min(SimTime{scaled}, cfg.retransmit_timeout_cap);
     }
   };
 
@@ -348,9 +328,15 @@ void segmented_recv(
   struct FecLane {
     std::int64_t gen = -1;
     std::vector<PayloadRef> rows;  // by generation position, consumed so far
-    std::vector<std::pair<int, PayloadRef>> parity;  // (row, bytes)
+    ParityRows parity;
   };
   std::vector<FecLane> fec(static_cast<std::size_t>(cfg.lanes));
+  // Every header, parity included, carries the stream geometry.
+  const auto learn_geometry = [&](const SegHeader& h) {
+    n_chunks = h.count;
+    stream_total = h.total;
+    have_geometry = true;
+  };
   const auto consume = [&](const SegHeader& h, PayloadRef body,
                            mpi::McastChannel& ch, std::uint32_t k) {
     MC_ASSERT_MSG(h.context == comm.context(), "context mismatch");
@@ -359,9 +345,7 @@ void segmented_recv(
     MC_ASSERT_MSG(h.index == k, "chunk index out of stream order");
     MC_ASSERT_MSG(h.count >= 1 && h.index < h.count, "bad chunk count");
     MC_ASSERT_MSG(body.size() == h.length, "chunk length mismatch");
-    n_chunks = h.count;
-    stream_total = h.total;
-    have_geometry = true;
+    learn_geometry(h);
     if (fec_r > 0) {
       FecLane& fl = fec[static_cast<std::size_t>(ch.lane())];
       fl.rows[(k / lanes_u) % window_u] = body;
@@ -430,21 +414,6 @@ void segmented_recv(
         dspans[q] = present[q]->view();
       }
     }
-    // Ascending row order keeps the decode a pure function of the
-    // delivered-chunk SET, not of arrival order.
-    std::sort(fl.parity.begin(), fl.parity.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<gf256::ParityRow> prows;
-    prows.reserve(missing.size());
-    for (std::size_t t = 0; t < missing.size(); ++t) {
-      prows.push_back({fl.parity[t].first, fl.parity[t].second.view()});
-      // Parity never matches the expected data slot, so it was never
-      // charged at arrival; pay for the rows the decode consumes.
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(kSegHeaderBytes +
-                                    fl.parity[t].second.size()),
-          mpi::CostTier::kMcastData));
-    }
     std::vector<Buffer> rebuilt(missing.size());
     std::vector<std::span<std::uint8_t>> outs(missing.size());
     for (std::size_t t = 0; t < missing.size(); ++t) {
@@ -456,9 +425,12 @@ void segmented_recv(
           chunk_bytes, static_cast<std::size_t>(stream_total) - off));
       outs[t] = rebuilt[t];
     }
-    gf256::decode(dspans, prows, missing, outs);
-    ++counters.fec_decodes;
-    counters.parity_used += missing.size();
+    decode_window(dspans, fl.parity, missing, outs, counters);
+    // Parity never matches the expected data slot, so it was never charged
+    // at arrival; pay for the rows the decode consumed.
+    for (std::size_t t = 0; t < missing.size(); ++t) {
+      charge_mcast_recv(p, kSegHeaderBytes + fl.parity[t].second.size());
+    }
     const std::uint64_t base = ch.expected_seq();
     bool delivered = false;
     for (std::size_t t = 0; t < missing.size(); ++t) {
@@ -511,9 +483,7 @@ void segmented_recv(
         lane_stash.erase(stashed);
         // The stashed delivery was never charged at arrival; pay the
         // receive overhead at consumption, like the !charged path below.
-        p.self().delay(p.costs().recv_overhead(
-            static_cast<std::int64_t>(kSegHeaderBytes + h.length),
-            mpi::CostTier::kMcastData));
+        charge_mcast_recv(p, kSegHeaderBytes + h.length);
         consume(h, std::move(body), ch, k);
         break;
       }
@@ -523,17 +493,12 @@ void segmented_recv(
       auto [d, charged] = ch.socket().recv_charged(
           p.self(), [&p, &ch](const inet::UdpDatagram& dg) -> SimTime {
             ByteReader peek(dg.data);
-            (void)peek.u32();  // context
-            (void)peek.i32();  // root
-            if (peek.u64() != ch.expected_seq()) {
+            if (read_frame_header(peek).seq != ch.expected_seq()) {
               // Stale duplicate (skipped) or ahead-of-sequence (stashed,
               // charged at consumption): never charged here.
               return kTimeZero;
             }
-            return p.costs().recv_overhead(
-                static_cast<std::int64_t>(dg.data.size() -
-                                          kMcastFrameHeaderBytes),
-                mpi::CostTier::kMcastData);
+            return mcast_recv_cost(p, dg.data.size() - kMcastFrameHeaderBytes);
           });
       ByteReader r(d.data);
       const SegHeader h = parse_seg_header(r);
@@ -542,38 +507,30 @@ void segmented_recv(
       }
       PayloadRef body = d.data.slice(r.position());
       if ((h.index & kParityIndexBit) != 0) {
-        // Parity frame.  Every header carries the stream geometry, so even
-        // a parity-first arrival teaches the receiver enough to decode.
-        // Keep it only for the lane's current generation; anything else is
-        // dropped — correctness never depends on parity.
-        n_chunks = h.count;
-        stream_total = h.total;
-        have_geometry = true;
+        // Parity frame: even a parity-first arrival teaches the receiver
+        // enough to decode.  Keep it only for the lane's current
+        // generation; anything else is dropped — correctness never depends
+        // on parity.
+        learn_geometry(h);
         if (fec_r > 0) {
           FecLane& fl = fec[static_cast<std::size_t>(lane)];
           const int pr = static_cast<int>(h.index & ~kParityIndexBit);
-          const bool dup = std::any_of(
-              fl.parity.begin(), fl.parity.end(),
-              [pr](const auto& e) { return e.first == pr; });
-          if (static_cast<std::int64_t>(h.offset) == fl.gen && !dup) {
+          if (static_cast<std::int64_t>(h.offset) == fl.gen &&
+              !has_row(fl.parity, pr)) {
             fl.parity.emplace_back(pr, std::move(body));
           }
         }
         continue;
       }
       if (h.seq > ch.expected_seq()) {
-        // Geometry rides on every header — learn it before chunk 0 lands,
-        // so an early loss is still reconstructable.
-        n_chunks = h.count;
-        stream_total = h.total;
-        have_geometry = true;
+        // Learn the geometry before chunk 0 lands, so an early loss is
+        // still reconstructable.
+        learn_geometry(h);
         lane_stash.try_emplace(h.seq, h, std::move(body));
         continue;
       }
       if (!charged) {
-        p.self().delay(p.costs().recv_overhead(
-            static_cast<std::int64_t>(kSegHeaderBytes + h.length),
-            mpi::CostTier::kMcastData));
+        charge_mcast_recv(p, kSegHeaderBytes + h.length);
       }
       consume(h, std::move(body), ch, k);
       break;
@@ -621,22 +578,16 @@ void set_segmented_config(Proc& p, const Comm& comm,
   MC_EXPECTS_MSG(
       config.lanes >= 1 && config.lanes <= mpi::CommInfo::kMaxMcastLanes,
       "lane count out of range");
-  MC_EXPECTS_MSG(config.retransmit_timeout > kTimeZero,
-                 "retransmit timeout must be positive");
-  MC_EXPECTS_MSG(config.retransmit_backoff >= 1.0,
-                 "retransmit backoff must be >= 1");
-  MC_EXPECTS_MSG(config.retransmit_timeout_cap >= config.retransmit_timeout,
-                 "timeout cap below the base timeout");
-  MC_EXPECTS_MSG(config.max_retries >= 0, "max_retries must be >= 0");
+  validate(config.retry, "mcast-segmented");
   MC_EXPECTS_MSG(config.fec_overhead >= 0.0 && config.fec_overhead <= 1.0,
                  "fec_overhead must be in [0, 1]");
   MC_EXPECTS_MSG(config.fec_overhead == 0.0 || config.window <= 128,
                  "FEC needs window <= 128 (generation + parity in GF(256))");
-  p.coll_state<SegmentedState>(comm).config = config;
+  p.coll_state<SegmentedConfig>(comm) = config;
 }
 
 const SegmentedConfig& segmented_config(Proc& p, const Comm& comm) {
-  return p.coll_state<SegmentedState>(comm).config;
+  return p.coll_state<SegmentedConfig>(comm);
 }
 
 std::size_t segmented_effective_chunk(const SegmentedConfig& config,

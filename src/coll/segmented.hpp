@@ -43,6 +43,7 @@
 #include <functional>
 #include <vector>
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "mpi/proc.hpp"
@@ -68,20 +69,17 @@ struct SegmentedConfig {
   int window = 4;
   /// Multicast groups striped round-robin (1..CommInfo::kMaxMcastLanes).
   int lanes = 1;
-  /// Root-side ack deadline before the oldest unretired chunk is
-  /// re-multicast.  Must exceed a chunk's wire + delivery time, or steady
-  /// state retransmits spuriously.
-  SimTime retransmit_timeout = milliseconds(50);
-  /// Deadline multiplier applied after every ACK-less timeout (reset to
-  /// retransmit_timeout by any ack).  1.0 keeps the historical fixed
-  /// timer, which livelocks under sustained loss.
-  double retransmit_backoff = 1.0;
-  /// Backed-off deadline ceiling.
-  SimTime retransmit_timeout_cap = milliseconds(800);
-  /// Give up after this many CONSECUTIVE ack-less timeouts (0 = retry
-  /// forever, the historical behavior).  Exceeding the cap throws: the
-  /// stream cannot make progress and silence would hang every rank.
-  int max_retries = 0;
+  /// Root retransmission timer: the ack deadline before the oldest
+  /// unretired chunk is re-multicast (50 ms; it must exceed a chunk's wire
+  /// + delivery time, or steady state retransmits spuriously), reset by any
+  /// ack.  max_retries counts CONSECUTIVE ack-less timeouts.  The default
+  /// fixed timer (backoff 1) that retries forever (max_retries 0) is the
+  /// historical behavior, which livelocks under sustained loss; exceeding a
+  /// finite limit throws, since the stream cannot make progress.
+  RetryPolicy retry{.timeout = milliseconds(50),
+                    .backoff = 1.0,
+                    .cap = milliseconds(800),
+                    .max_retries = 0};
   /// FEC recovery mode (coll/fec.hpp's erasure coder applied per window):
   /// after every generation of `window` data chunks on a lane, the root
   /// multicasts r = max(1, ceil(window * fec_overhead)) Reed–Solomon

@@ -1,7 +1,5 @@
 #include "coll/sequencer.hpp"
 
-#include <map>
-
 #include "common/assert.hpp"
 
 namespace mcmpi::coll {
@@ -14,115 +12,25 @@ namespace {
 constexpr int kSequencerRank = 0;
 
 struct SeqState {
-  // Sequencer side.
-  bool sink_installed = false;
-  // seq -> framed payload; shared refs, so retained history and NACK-driven
-  // re-multicasts reuse the original framed allocation.
-  std::map<std::uint64_t, PayloadRef> history;
-  // Receiver side: early frames (seq > expected), views of their datagrams.
-  std::map<std::uint64_t, PayloadRef> stash;
+  // Sequencer side: retransmission history (no aggregation window — every
+  // NACK is answered); the bound is the calling broadcast's.
+  RetainedHistory history{SequencerParams{}.history_frames, kTimeZero};
+  EarlyFrames early;  // receiver side
   SequencerStats stats;
 };
 
-PayloadRef frame(std::uint32_t context, std::int32_t root_world,
-                 std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  PooledBuffer out = acquire_payload_buffer(payload.size() + 16);
-  ByteWriter w(out.bytes);
-  w.u32(context);
-  w.i32(root_world);
-  w.u64(seq);
-  w.bytes(payload);
-  return PayloadRef::adopt(std::move(out));
+RetryPolicy nack_policy(const SequencerParams& params) {
+  return {.timeout = params.nack_timeout,
+          .backoff = 1.0,
+          .cap = params.nack_timeout,
+          .max_retries = kSequencerMaxNacks};
 }
 
-void install_sink(Proc& p, const Comm& comm, SeqState& state) {
-  if (state.sink_installed) {
-    return;
-  }
-  state.sink_installed = true;
-  mpi::McastChannel* channel = &p.mcast_channel(comm);
-  SeqState* st = &state;
-  p.engine().set_sink(
-      comm.context(), mpi::kTagSeqNack,
-      [channel, st](mpi::Rank /*src*/, PayloadRef data) {
-        ByteReader r(data);
-        const std::uint64_t wanted = r.u64();
-        const auto it = st->history.find(wanted);
-        if (it == st->history.end()) {
-          ++st->stats.nacks_unserved;
-          return;
-        }
-        ++st->stats.nacks_served;
-        // Kernel-level service: re-multicast without charging the rank.
-        channel->send(it->second, net::FrameKind::kData);
-      });
-}
-
-/// Receiver-side delivery with gap recovery.  Returns the payload of the
-/// next in-order broadcast.
-Buffer recv_with_nack(Proc& p, const Comm& comm, SeqState& state,
+Buffer recv_sequenced(Proc& p, const Comm& comm, SeqState& state, int root,
                       const SequencerParams& params) {
-  mpi::McastChannel& ch = p.mcast_channel(comm);
-  for (;;) {
-    const std::uint64_t expected = ch.expected_seq();
-    // A retransmission may already be stashed.
-    if (const auto it = state.stash.find(expected); it != state.stash.end()) {
-      Buffer payload = it->second.to_buffer();
-      state.stash.erase(it);
-      ch.advance_seq();
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()),
-          mpi::CostTier::kMcastData));
-      return payload;
-    }
-    // Charged receive: an arrival that wakes the parked rank prices the
-    // receive overhead into the wake-up when it is the expected in-order
-    // frame (duplicates and early frames wake immediately and are handled
-    // without a delivery charge) — one handoff instead of two.
-    auto datagram = ch.socket().recv_until_charged(
-        p.self(), p.self().now() + params.nack_timeout,
-        [&p, expected](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          (void)peek.u32();  // context
-          (void)peek.i32();  // root
-          if (peek.u64() != expected) {
-            return kTimeZero;  // duplicate or early frame: uncharged wake
-          }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              mpi::CostTier::kMcastData);
-        });
-    if (!datagram.has_value()) {
-      // Gap (or sequencer not there yet): ask for the expected frame.
-      ++state.stats.nacks_sent;
-      Buffer nack;
-      ByteWriter w(nack);
-      w.u64(expected);
-      p.send(comm, kSequencerRank, mpi::kTagSeqNack, nack,
-             net::FrameKind::kControl, mpi::CostTier::kRaw);
-      continue;
-    }
-    ByteReader r(datagram->datagram.data);
-    (void)r.u32();  // context (validated by port/group)
-    (void)r.i32();  // root
-    const std::uint64_t seq = r.u64();
-    if (seq < expected) {
-      continue;  // duplicate
-    }
-    // Keep the zero-copy view; the byte copy happens only at delivery.
-    PayloadRef payload = datagram->datagram.data.slice(r.position());
-    if (seq > expected) {
-      state.stash.emplace(seq, std::move(payload));
-      continue;  // keep hunting for the gap frame (NACK on next timeout)
-    }
-    ch.advance_seq();
-    if (!datagram->charge_absorbed) {
-      p.self().delay(p.costs().recv_overhead(
-          static_cast<std::int64_t>(payload.size()),
-          mpi::CostTier::kMcastData));
-    }
-    return payload.to_buffer();
-  }
+  return recv_in_order(p, comm, state.early, nack_policy(params),
+                       kSequencerRank, mpi::kTagSeqNack, state.stats,
+                       "sequencer", root);
 }
 
 }  // namespace
@@ -130,15 +38,18 @@ Buffer recv_with_nack(Proc& p, const Comm& comm, SeqState& state,
 void bcast_sequencer(Proc& p, const Comm& comm, Buffer& buffer, int root,
                      const SequencerParams& params) {
   MC_EXPECTS(root >= 0 && root < comm.size());
+  validate(nack_policy(params), "sequencer");
   if (comm.size() == 1) {
     return;
   }
   mpi::McastChannel& ch = p.mcast_channel(comm);
   SeqState& state = p.coll_state<SeqState>(comm);
+  state.history.set_limits(params.history_frames, kTimeZero, "sequencer");
   const int rank = comm.rank();
 
   if (rank == kSequencerRank) {
-    install_sink(p, comm, state);
+    state.history.serve_nacks(p, comm, mpi::kTagSeqNack, NackFormat::kSingle,
+                              state.stats);
     Buffer payload;
     if (root == kSequencerRank) {
       payload = buffer;
@@ -147,19 +58,13 @@ void bcast_sequencer(Proc& p, const Comm& comm, Buffer& buffer, int root,
           p.recv(comm, root, mpi::kTagSequencer, nullptr, mpi::CostTier::kRaw);
       buffer = payload;  // the sequencer learns the data from the handoff
     }
-    const std::uint64_t seq = ch.expected_seq();
     // One framed allocation, shared between the outgoing multicast and the
     // retransmission history.
-    PayloadRef framed =
-        frame(comm.context(), comm.world_rank_of(root), seq, payload);
-    state.history.emplace(seq, framed);
-    while (state.history.size() > params.history_frames) {
-      state.history.erase(state.history.begin());
-    }
-    p.self().delay(p.costs().send_overhead(
-        static_cast<std::int64_t>(payload.size()), mpi::CostTier::kMcastData));
-    ch.send(std::move(framed), net::FrameKind::kData);
-    ch.advance_seq();
+    state.history.multicast(
+        p, ch,
+        frame({comm.context(), comm.world_rank_of(root), ch.expected_seq()},
+              payload),
+        payload.size());
     return;
   }
 
@@ -168,13 +73,13 @@ void bcast_sequencer(Proc& p, const Comm& comm, Buffer& buffer, int root,
     // (the Orca "commit": the order is only fixed once it comes back).
     p.send(comm, kSequencerRank, mpi::kTagSequencer, buffer,
            net::FrameKind::kData, mpi::CostTier::kRaw);
-    const Buffer echoed = recv_with_nack(p, comm, state, params);
+    const Buffer echoed = recv_sequenced(p, comm, state, root, params);
     MC_ASSERT_MSG(echoed.size() == buffer.size(),
                   "sequencer echoed a different payload");
     return;
   }
 
-  buffer = recv_with_nack(p, comm, state, params);
+  buffer = recv_sequenced(p, comm, state, root, params);
 }
 
 const SequencerStats& sequencer_stats(Proc& p, const Comm& comm) {

@@ -19,6 +19,7 @@
 /// when broadcasts are frequent (see abl_ack_mcast), at the price of
 /// unbounded receiver lag being detected only by timeout.
 
+#include "coll/recovery.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "mpi/proc.hpp"
@@ -26,20 +27,24 @@
 namespace mcmpi::coll {
 
 struct SequencerParams {
-  /// Receiver gap-detection timeout before NACKing.
+  /// Receiver gap-detection timeout before NACKing (a fixed timer, no
+  /// backoff).  A receiver that sends kSequencerMaxNacks NACKs for one
+  /// frame — one the sequencer's history no longer holds — throws.
   SimTime nack_timeout = milliseconds(3);
   /// Frames retained for retransmission.
   std::size_t history_frames = 128;
 };
 
-struct SequencerStats {
-  std::uint64_t nacks_sent = 0;       // receiver side
-  std::uint64_t nacks_served = 0;     // sequencer side
-  std::uint64_t nacks_unserved = 0;   // requested frame older than history
-};
+/// NACKs per frame before a sequencer receiver gives up: 3 s of silence
+/// at the default timer.
+inline constexpr int kSequencerMaxNacks = 1000;
+
+using SequencerStats = NackStats;
 
 /// Broadcast via the sequencer.  `buffer` is input at root, output
-/// elsewhere.  Comm rank 0 acts as the sequencer.
+/// elsewhere.  Comm rank 0 acts as the sequencer.  Throws
+/// std::invalid_argument on a nonpositive nack_timeout or an empty history,
+/// and std::runtime_error when a receiver exhausts kSequencerMaxNacks.
 void bcast_sequencer(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                      int root, const SequencerParams& params = {});
 

@@ -231,7 +231,7 @@ std::string TuningTable::select(CollOp op, std::size_t bytes, int ranks,
   const CollAlgorithm* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
   for (const CollAlgorithm& algo : Registry::instance().entries()) {
-    if (algo.op != op || algo.lossy) {
+    if (algo.op() != op || algo.lossy) {
       continue;
     }
     if (lossy_net && !algo.loss_tolerant) {

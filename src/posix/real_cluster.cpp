@@ -34,8 +34,11 @@ std::array<std::uint8_t, 4> p2p_header(int src) {
   return header;
 }
 
-std::array<std::uint8_t, 12> mcast_header(int sender, std::uint64_t seq) {
-  std::array<std::uint8_t, 12> header;
+constexpr std::size_t kMcastHeaderBytes = 12;
+
+std::array<std::uint8_t, kMcastHeaderBytes> mcast_header(int sender,
+                                                         std::uint64_t seq) {
+  std::array<std::uint8_t, kMcastHeaderBytes> header;
   put_le(header.data(), static_cast<std::uint32_t>(sender));
   put_le(header.data() + 4, seq);
   return header;
@@ -117,6 +120,26 @@ void RealRank::mcast_send(std::span<const std::uint8_t> data) {
   mcast_->send_parts(cluster_.config().mcast_group, cluster_.mcast_port(),
                      parts);
   ++mcast_seq_;
+  // A rank that keeps rooting bcasts and barrier releases never calls
+  // mcast_recv, so its own looped-back copies would pile up in the socket
+  // buffer until a foreign datagram no longer fits.  Poll without blocking
+  // and drop own and stale copies; the first datagram that mcast_recv must
+  // see stops the drain and stays batched for it.
+  if (mcast_batch_.empty()) {
+    mcast_batch_ = mcast_->recv_views(std::chrono::milliseconds(0),
+                                      RealUdpSocket::kMaxBatch);
+  }
+  while (!mcast_batch_.empty() && !deliverable(mcast_batch_.front())) {
+    mcast_batch_ = mcast_batch_.subspan(1);
+  }
+}
+
+bool RealRank::deliverable(const DatagramView& datagram) const {
+  ByteReader r(datagram.data);
+  const int sender = static_cast<int>(r.u32());
+  const std::uint64_t seq = r.u64();
+  // Not our own loopback copy (IP_MULTICAST_LOOP), and not stale.
+  return sender != rank_ && seq >= mcast_seq_;
 }
 
 std::vector<std::uint8_t> RealRank::mcast_recv() {
@@ -126,17 +149,11 @@ std::vector<std::uint8_t> RealRank::mcast_recv() {
       throw std::runtime_error("rank " + std::to_string(rank_) +
                                ": timeout waiting for multicast");
     }
-    ByteReader r(datagram->data);
-    const int sender = static_cast<int>(r.u32());
-    const std::uint64_t seq = r.u64();
-    if (sender == rank_) {
-      continue;  // our own loopback copy (IP_MULTICAST_LOOP)
-    }
-    if (seq < mcast_seq_) {
-      continue;  // stale
+    if (!deliverable(*datagram)) {
+      continue;
     }
     ++mcast_seq_;
-    const auto rest = r.rest();
+    const auto rest = datagram->data.subspan(kMcastHeaderBytes);
     return {rest.begin(), rest.end()};  // the payload's one copy
   }
 }

@@ -73,6 +73,9 @@ class RealRank {
   /// socket is read again only once its batch is drained.
   std::optional<DatagramView> next_datagram(
       RealUdpSocket& socket, std::span<const DatagramView>& batch);
+  /// True for a multicast mcast_recv must return: another rank's, and not
+  /// older than this rank's expected sequence.
+  bool deliverable(const DatagramView& datagram) const;
 
   RealCluster& cluster_;
   int rank_;

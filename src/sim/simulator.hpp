@@ -141,7 +141,7 @@ struct ShardingConfig {
   /// bounded only by the trunks that can actually reach it — a pair joined
   /// by a slow trunk no longer throttles the whole topology to the global
   /// minimum.
-  std::vector<SimTime> lookahead_matrix;
+  std::vector<SimTime> lookahead_matrix{};
   /// Worker threads the parallel driver multiplexes the shards onto: shard
   /// i runs on worker i % workers, and each worker executes its shards in
   /// ascending id order within every round — so the round schedule (and

@@ -75,13 +75,15 @@ TEST(Registry, RejectsDuplicatesAndUnknownNames) {
   Registry& r = Registry::instance();
   coll::CollAlgorithm duplicate;
   duplicate.name = "mpich";
-  duplicate.op = CollOp::kBcast;
-  duplicate.bcast = [](mpi::Proc&, const mpi::Comm&, Buffer&, int) {};
+  duplicate.run =
+      coll::BcastRun{[](mpi::Proc&, const mpi::Comm&, Buffer&, int) {}};
   EXPECT_THROW(r.add(duplicate), std::invalid_argument);
 
+  // The run function's type names the operation; an empty one is refused.
   coll::CollAlgorithm no_run;
   no_run.name = "broken";
-  no_run.op = CollOp::kBarrier;
+  no_run.run = coll::BarrierRun{};
+  EXPECT_EQ(no_run.op(), CollOp::kBarrier);
   EXPECT_THROW(r.add(no_run), std::invalid_argument);
 
   try {
@@ -97,11 +99,10 @@ TEST(Registry, PluggedInAlgorithmIsDispatchable) {
   Registry& r = Registry::instance();
   coll::CollAlgorithm noop;
   noop.name = "test-noop";
-  noop.op = CollOp::kBarrier;
   noop.description = "registered by coll_registry_test";
   noop.applicable = [](const mpi::Comm&, std::size_t) { return true; };
   noop.cost_hint = [](std::size_t, int) { return 1e9; };  // never auto-picked
-  noop.barrier = [](mpi::Proc&, const mpi::Comm&) {};
+  noop.run = coll::BarrierRun{[](mpi::Proc&, const mpi::Comm&) {}};
   r.add(noop);
   {
     Cluster cluster(config_for(3));

@@ -1,21 +1,23 @@
 // Fault-injection subsystem tests: MCMPI_FAULTS parsing, the determinism
 // contract (one drop schedule per seed, bit-identical across shard counts,
 // shard drivers and execution backends), recovery-protocol behavior under
-// loss/duplication/reorder (nack-mcast, ack-mcast, segmented), the
-// loss-tolerant conformance sweep, background cross traffic and per-host
-// speed skew.
+// loss/duplication/reorder (nack-mcast, ack-mcast, sequencer, segmented),
+// the recovery engines' shared retry-policy validation, the loss-tolerant
+// conformance sweep, background cross traffic and per-host speed skew.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "coll/ack_mcast.hpp"
 #include "coll/facade.hpp"
+#include "coll/fec.hpp"
 #include "coll/nack_mcast.hpp"
 #include "coll/registry.hpp"
 #include "coll/segmented.hpp"
+#include "coll/sequencer.hpp"
 #include "common/bytes.hpp"
 #include "net/fault.hpp"
 
@@ -267,8 +269,8 @@ TEST(NackMcast, TotalLossIsAHardErrorNotAHang) {
   EXPECT_THROW(
       cluster.world().run([&](mpi::Proc& p) {
         coll::NackMcastParams params;
-        params.nack_timeout = milliseconds(1);
-        params.max_retries = 3;
+        params.retry.timeout = milliseconds(1);
+        params.retry.max_retries = 3;
         coll::set_nack_mcast_params(p, p.comm_world(), params);
         Buffer data;
         if (p.rank() == 0) {
@@ -279,53 +281,6 @@ TEST(NackMcast, TotalLossIsAHardErrorNotAHang) {
       std::runtime_error);
 }
 
-TEST(NackMcast, HistoryBoundPlumbsFromClusterConfigAndEnvironment) {
-  // Explicit ClusterConfig bound wins; the first broadcast adopts it into
-  // the communicator's protocol params.
-  {
-    ClusterConfig config = faulty_config(3, NetworkType::kSwitch, {});
-    config.nack_history_frames = 7;
-    Cluster cluster(config);
-    cluster.world().run([](mpi::Proc& p) {
-      EXPECT_EQ(p.nack_history_frames(), 7u);
-      Buffer data;
-      if (p.rank() == 0) {
-        data = pattern_payload(2, 300);
-      }
-      p.comm_world().coll().bcast(data, 0, "nack-mcast");
-      EXPECT_EQ(coll::nack_mcast_params(p, p.comm_world()).history_frames,
-                7u);
-    });
-  }
-  // Env variable fills in when the config leaves the bound at 0...
-  {
-    ::setenv("MCMPI_NACK_HISTORY", "5", 1);
-    Cluster cluster(faulty_config(2, NetworkType::kSwitch, {}));
-    ::unsetenv("MCMPI_NACK_HISTORY");
-    cluster.world().run(
-        [](mpi::Proc& p) { EXPECT_EQ(p.nack_history_frames(), 5u); });
-  }
-  // ...and an explicit config bound beats the environment.
-  {
-    ::setenv("MCMPI_NACK_HISTORY", "5", 1);
-    ClusterConfig config = faulty_config(2, NetworkType::kSwitch, {});
-    config.nack_history_frames = 9;
-    Cluster cluster(config);
-    ::unsetenv("MCMPI_NACK_HISTORY");
-    cluster.world().run(
-        [](mpi::Proc& p) { EXPECT_EQ(p.nack_history_frames(), 9u); });
-  }
-}
-
-TEST(NackMcast, RejectsMalformedHistoryEnvironment) {
-  const ClusterConfig config = faulty_config(2, NetworkType::kSwitch, {});
-  for (const char* bad : {"0", "abc", "-3"}) {
-    ::setenv("MCMPI_NACK_HISTORY", bad, 1);
-    EXPECT_THROW(Cluster{config}, std::invalid_argument) << bad;
-    ::unsetenv("MCMPI_NACK_HISTORY");
-  }
-}
-
 TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   // A fire-and-forget root racing three broadcasts past a one-frame
   // retransmission history: a receiver that lost frame 0 NACKs into a
@@ -334,16 +289,14 @@ TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   // workload under an ample history recovers completely.
   const auto run_once = [](std::uint64_t seed, std::size_t history,
                            int max_retries) {
-    ClusterConfig config = faulty_config(
-        5, NetworkType::kSwitch, FaultProfile{.loss = 0.4}, seed);
-    config.nack_history_frames = history;
-    Cluster cluster(config);
+    Cluster cluster(faulty_config(5, NetworkType::kSwitch,
+                                  FaultProfile{.loss = 0.4}, seed));
     cluster.world().run([&](mpi::Proc& p) {
       coll::NackMcastParams params;
-      params.history_frames = p.nack_history_frames();  // the plumbed bound
-      params.nack_timeout = milliseconds(1);
-      params.timeout_cap = milliseconds(8);
-      params.max_retries = max_retries;
+      params.history_frames = history;
+      params.retry.timeout = milliseconds(1);
+      params.retry.cap = milliseconds(8);
+      params.retry.max_retries = max_retries;
       coll::set_nack_mcast_params(p, p.comm_world(), params);
       for (int i = 0; i < 3; ++i) {
         Buffer data;
@@ -369,22 +322,42 @@ TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   run_once(bad_seed, 64, 50);  // ample history: same races, full recovery
 }
 
-TEST(NackMcast, RejectsOutOfRangeParams) {
-  Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
-  cluster.world().run([&](mpi::Proc& p) {
-    coll::NackMcastParams bad;
-    bad.nack_timeout = kTimeZero;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::NackMcastParams{};
-    bad.backoff = 0.5;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::NackMcastParams{};
-    bad.max_retries = -1;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-  });
+TEST(Sequencer, BoundedHistoryOverflowIsAHardError) {
+  // The sequencer twin of the nack-mcast case above: a receiver that lost
+  // frame 0 NACKs a one-frame history that has already evicted it.  It must
+  // exhaust kSequencerMaxNacks and throw, not NACK every timeout forever;
+  // the same racing workload under an ample history recovers completely.
+  const auto run_once = [](std::uint64_t seed, std::size_t history) {
+    Cluster cluster(faulty_config(5, NetworkType::kSwitch,
+                                  FaultProfile{.loss = 0.4}, seed));
+    cluster.world().run([&](mpi::Proc& p) {
+      coll::SequencerParams params;
+      params.history_frames = history;
+      params.nack_timeout = milliseconds(1);
+      for (int i = 0; i < 3; ++i) {
+        Buffer data;
+        if (p.rank() == 0) {
+          data = pattern_payload(40 + i, 2000);
+        }
+        coll::bcast_sequencer(p, p.comm_world(), data, 0, params);
+        EXPECT_TRUE(check_pattern(40 + i, data)) << "rank " << p.rank();
+      }
+    });
+  };
+  bool overflowed = false;
+  std::uint64_t bad_seed = 0;
+  for (std::uint64_t seed = 1; seed <= 24 && !overflowed; ++seed) {
+    try {
+      run_once(seed, 1);
+    } catch (const std::runtime_error& e) {
+      overflowed = true;
+      bad_seed = seed;
+      EXPECT_NE(std::string(e.what()).find("sequencer"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(overflowed);  // 40% loss reliably outruns a 1-frame history
+  run_once(bad_seed, 128);  // ample history: full recovery
 }
 
 TEST(AckMcast, BackoffRecoversAtFivePercentLoss) {
@@ -393,10 +366,10 @@ TEST(AckMcast, BackoffRecoversAtFivePercentLoss) {
   std::uint64_t root_retransmissions = 0;
   cluster.world().run([&](mpi::Proc& p) {
     coll::AckMcastParams params;
-    params.retransmit_timeout = milliseconds(2);
-    params.backoff = 2.0;
-    params.timeout_cap = milliseconds(80);
-    params.max_retries = 100;
+    params.retry.timeout = milliseconds(2);
+    params.retry.backoff = 2.0;
+    params.retry.cap = milliseconds(80);
+    params.retry.max_retries = 100;
     coll::set_ack_mcast_params(p, p.comm_world(), params);
     for (int i = 0; i < 4; ++i) {
       Buffer data;
@@ -425,28 +398,96 @@ TEST(AckMcast, RetryCapTurnsTotalLossIntoAnError) {
           data = pattern_payload(1, 500);
         }
         coll::AckMcastParams params;
-        params.retransmit_timeout = milliseconds(1);
-        params.max_retries = 3;
+        params.retry.timeout = milliseconds(1);
+        params.retry.max_retries = 3;
         coll::bcast_ack_mcast(p, p.comm_world(), data, 0, params);
       }),
       std::runtime_error);
 }
 
-TEST(AckMcast, RejectsOutOfRangeParams) {
+TEST(RecoveryCore, EveryEngineRejectsOutOfRangeRetryPolicy) {
+  // The five reliable-multicast engines share one retry policy and one
+  // validation: each out-of-range field is refused up front, naming the
+  // engine, while the engine's defaults pass.  The sequencer exposes only
+  // its NACK timeout (fixed timer, constant NACK limit).
+  struct Engine {
+    std::string name;
+    coll::RetryPolicy defaults;
+    std::function<void(mpi::Proc&, const coll::RetryPolicy&)> apply;
+    bool timeout_only = false;
+  };
+  const std::vector<Engine> engines = {
+      {"ack-mcast", coll::AckMcastParams{}.retry,
+       [](mpi::Proc& p, const coll::RetryPolicy& retry) {
+         coll::AckMcastParams params;
+         params.retry = retry;
+         coll::set_ack_mcast_params(p, p.comm_world(), params);
+       }},
+      {"nack-mcast", coll::NackMcastParams{}.retry,
+       [](mpi::Proc& p, const coll::RetryPolicy& retry) {
+         coll::NackMcastParams params;
+         params.retry = retry;
+         coll::set_nack_mcast_params(p, p.comm_world(), params);
+       }},
+      {"sequencer",
+       {coll::SequencerParams{}.nack_timeout, 1.0,
+        coll::SequencerParams{}.nack_timeout, coll::kSequencerMaxNacks},
+       [](mpi::Proc& p, const coll::RetryPolicy& retry) {
+         coll::SequencerParams params;
+         params.nack_timeout = retry.timeout;
+         Buffer data(16);
+         coll::bcast_sequencer(p, p.comm_world(), data, 0, params);
+       },
+       true},
+      {"fec-mcast", coll::FecConfig{}.retry,
+       [](mpi::Proc& p, const coll::RetryPolicy& retry) {
+         coll::FecConfig config;
+         config.retry = retry;
+         coll::set_fec_config(p, p.comm_world(), config);
+       }},
+      {"mcast-segmented", coll::SegmentedConfig{}.retry,
+       [](mpi::Proc& p, const coll::RetryPolicy& retry) {
+         coll::SegmentedConfig config;
+         config.retry = retry;
+         coll::set_segmented_config(p, p.comm_world(), config);
+       }},
+  };
+  struct Bad {
+    std::string what;
+    std::function<void(coll::RetryPolicy&)> spoil;
+    bool timeout = false;  // spoils the timeout field
+  };
+  const std::vector<Bad> bads = {
+      {"zero timeout", [](coll::RetryPolicy& r) { r.timeout = kTimeZero; },
+       true},
+      {"negative timeout",
+       [](coll::RetryPolicy& r) { r.timeout = microseconds(-1); }, true},
+      {"backoff 0.5", [](coll::RetryPolicy& r) { r.backoff = 0.5; }},
+      {"backoff 0.9", [](coll::RetryPolicy& r) { r.backoff = 0.9; }},
+      {"cap below timeout",
+       [](coll::RetryPolicy& r) { r.cap = microseconds(1); }},
+      {"negative retries", [](coll::RetryPolicy& r) { r.max_retries = -1; }},
+  };
   Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
   cluster.world().run([&](mpi::Proc& p) {
-    coll::AckMcastParams bad;
-    bad.retransmit_timeout = kTimeZero;
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::AckMcastParams{};
-    bad.backoff = 0.9;
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::AckMcastParams{};
-    bad.timeout_cap = microseconds(1);  // below the timeout
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
+    for (const Engine& engine : engines) {
+      EXPECT_NO_THROW(engine.apply(p, engine.defaults)) << engine.name;
+      for (const Bad& bad : bads) {
+        if (engine.timeout_only && !bad.timeout) {
+          continue;
+        }
+        coll::RetryPolicy retry = engine.defaults;
+        bad.spoil(retry);
+        try {
+          engine.apply(p, retry);
+          ADD_FAILURE() << engine.name << " accepted " << bad.what;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(engine.name),
+                    std::string::npos)
+              << engine.name << ", " << bad.what << ": " << e.what();
+        }
+      }
+    }
   });
 }
 
@@ -459,10 +500,10 @@ TEST(Segmented, PerChunkRecoveryUnderLoss) {
     coll::SegmentedConfig config;
     config.chunk_bytes = 4096;
     config.window = 4;
-    config.retransmit_timeout = milliseconds(2);
-    config.retransmit_backoff = 2.0;
-    config.retransmit_timeout_cap = milliseconds(400);
-    config.max_retries = 50;
+    config.retry.timeout = milliseconds(2);
+    config.retry.backoff = 2.0;
+    config.retry.cap = milliseconds(400);
+    config.retry.max_retries = 50;
     coll::set_segmented_config(p, p.comm_world(), config);
     Buffer data;
     if (p.rank() == 0) {
@@ -504,7 +545,7 @@ TEST(FaultInjection, ReorderIsTolerated) {
 std::vector<std::string> loss_tolerant_bcasts() {
   std::vector<std::string> names;
   for (const coll::CollAlgorithm& algo : coll::Registry::instance().entries()) {
-    if (algo.op == coll::CollOp::kBcast && algo.loss_tolerant) {
+    if (algo.op() == coll::CollOp::kBcast && algo.loss_tolerant) {
       names.push_back(algo.name);
     }
   }

@@ -290,18 +290,8 @@ TEST(FecMcast, RejectsOutOfRangeConfig) {
     bad = coll::FecConfig{};
     bad.calm_ops = 0;
     expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_timeout = kTimeZero;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_backoff = 0.5;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_timeout_cap = microseconds(1);  // below the timeout
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.max_fallback_retries = -1;
-    expect_bad(bad);
+    // The retry policy's bounds: RecoveryCore.EveryEngineRejects... in
+    // fault_test.
     bad = coll::FecConfig{};
     bad.aggregation_window = microseconds(-1);
     expect_bad(bad);
@@ -440,8 +430,8 @@ TEST(FecMcast, LossBeyondParityFallsBackToNackAndDelivers) {
       faulty_config(5, NetworkType::kSwitch, FaultProfile{.loss = 0.3}));
   cluster.world().run([](mpi::Proc& p) {
     coll::FecConfig cfg;
-    cfg.fallback_timeout = milliseconds(1);
-    cfg.fallback_timeout_cap = milliseconds(16);
+    cfg.retry.timeout = milliseconds(1);
+    cfg.retry.cap = milliseconds(16);
     coll::set_fec_config(p, p.comm_world(), cfg);
     for (int i = 0; i < 2; ++i) {
       Buffer data;
@@ -464,8 +454,8 @@ TEST(FecMcast, TotalLossIsAHardErrorNotAHang) {
   EXPECT_THROW(
       cluster.world().run([](mpi::Proc& p) {
         coll::FecConfig cfg;
-        cfg.fallback_timeout = milliseconds(1);
-        cfg.max_fallback_retries = 3;
+        cfg.retry.timeout = milliseconds(1);
+        cfg.retry.max_retries = 3;
         coll::set_fec_config(p, p.comm_world(), cfg);
         Buffer data;
         if (p.rank() == 0) {
@@ -540,10 +530,10 @@ coll::SegmentedConfig seg_fec_config(std::size_t chunk, int window, int lanes,
   cfg.window = window;
   cfg.lanes = lanes;
   cfg.fec_overhead = fec_overhead;
-  cfg.retransmit_timeout = milliseconds(2);
-  cfg.retransmit_backoff = 2.0;
-  cfg.retransmit_timeout_cap = milliseconds(400);
-  cfg.max_retries = 50;
+  cfg.retry.timeout = milliseconds(2);
+  cfg.retry.backoff = 2.0;
+  cfg.retry.cap = milliseconds(400);
+  cfg.retry.max_retries = 50;
   return cfg;
 }
 

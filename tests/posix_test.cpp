@@ -417,5 +417,41 @@ TEST(RealCluster, ManyBroadcastsOfMixedSizesDeliverEveryByte) {
   }
 }
 
+// A root that keeps rooting never calls mcast_recv, so only its sends can
+// drain its own looped-back copies: 64 root-0 barrier + bcast rounds of
+// 20 000 B must not fill rank 0's multicast socket buffer, or root 1's
+// final bcast is dropped there and rank 0 times out.
+TEST(RealCluster, LongRunOfOneRootDoesNotBacklogItsOwnLoopback) {
+  SKIP_WITHOUT_MULTICAST();
+  constexpr int kRanks = 4;
+  constexpr std::size_t kRounds = 64;
+  constexpr std::size_t kBytes = 20000;
+  RealClusterConfig config;
+  config.num_ranks = kRanks;
+  config.mcast_group = 0xEF0101F6u;
+  RealCluster cluster(config);
+  std::vector<int> bad(kRanks, 0);
+  cluster.run([&](RealRank& r) {
+    const auto bcast_checked = [&](std::uint64_t tag, int root) {
+      std::vector<std::uint8_t> data;
+      if (r.rank() == root) {
+        data = pattern_payload(tag, kBytes);
+      }
+      r.bcast_binary(data, root);
+      if (data.size() != kBytes || !check_pattern(tag, data)) {
+        ++bad[static_cast<std::size_t>(r.rank())];
+      }
+    };
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      r.barrier();
+      bcast_checked(i, 0);
+    }
+    bcast_checked(kRounds, 1);
+  });
+  for (int i = 0; i < kRanks; ++i) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(i)], 0) << "rank " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mcmpi::posix
