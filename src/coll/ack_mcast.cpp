@@ -46,11 +46,7 @@ void bcast_ack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root,
     // drops stale duplicates), then acknowledge over the raw path.
     const std::uint64_t seq = ch.expected_seq();
     buffer = mcast_recv_framed(p, comm, root);
-    Buffer ack;
-    ByteWriter w(ack);
-    w.u64(seq);
-    p.send(comm, root, mpi::kTagAckMcast, ack, net::FrameKind::kControl,
-           mpi::CostTier::kRaw);
+    send_seqs(p, comm, root, mpi::kTagAckMcast, SeqFormat::kSingle, {&seq, 1});
     return;
   }
 

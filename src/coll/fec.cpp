@@ -125,23 +125,11 @@ double update_working_overhead(Proc& p, FecState& state) {
   return state.working;
 }
 
-void write_headers(ByteWriter& w, const FrameHeader& frame,
-                   const FecHeader& h) {
-  write_frame_header(w, frame);
-  w.u32(h.index);
-  w.u32(h.window);
-  w.u32(h.kw);
-  w.u32(h.rw);
-  w.u32(h.chunk);
-  w.u64(h.total);
-  w.u64(h.op_base);
-}
-
 void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
                int root) {
   const FecConfig& cfg = state.config;
   mpi::McastChannel& ch = p.mcast_channel(comm);
-  state.history.serve_nacks(p, comm, mpi::kTagFecNack, NackFormat::kCounted,
+  state.history.serve_nacks(p, comm, mpi::kTagFecNack, SeqFormat::kCounted,
                             state.stats);
   const double overhead = update_working_overhead(p, state);
 
@@ -165,9 +153,21 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
     h.chunk = static_cast<std::uint32_t>(chunk);
     h.total = total;
     h.op_base = op_base;
+    // Each frame is one pooled allocation, shared between the outgoing
+    // multicast and the retransmission history: both headers, then `len`
+    // bytes the caller appends.
+    const auto framed = [&](std::uint64_t seq, std::size_t len) {
+      PooledBuffer out = acquire_payload_buffer(kFecCombinedHeaderBytes + len);
+      ByteWriter fw(out.bytes);
+      write_frame_header(fw, {context, root_world, seq});
+      for (const std::uint32_t v : {h.index, h.window, h.kw, h.rw, h.chunk}) {
+        fw.u32(v);
+      }
+      fw.u64(h.total);
+      fw.u64(h.op_base);
+      return out;
+    };
 
-    // Data frames: each framed into one owned allocation shared between
-    // the outgoing multicast and the retransmission history.
     std::vector<std::span<const std::uint8_t>> dspans;
     dspans.reserve(static_cast<std::size_t>(kw));
     for (int jj = 0; jj < kw; ++jj) {
@@ -177,12 +177,9 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
       const std::span<const std::uint8_t> span{buffer.data() + off, len};
       dspans.push_back(span);
       h.index = static_cast<std::uint32_t>(j);
-      PooledBuffer out = acquire_payload_buffer(kFecCombinedHeaderBytes + len);
-      ByteWriter fw(out.bytes);
-      write_headers(fw, {context, root_world, ch.expected_seq()}, h);
-      fw.bytes(span);
-      state.history.multicast(p, ch, PayloadRef::adopt(std::move(out)),
-                              kFecHeaderBytes + len);
+      PooledBuffer out = framed(ch.expected_seq(), len);
+      ByteWriter(out.bytes).bytes(span);
+      state.history.multicast(p, ch, PayloadRef::adopt(std::move(out)));
     }
 
     // Parity frames: encoded straight into their framed wire buffers (the
@@ -195,21 +192,14 @@ void send_root(Proc& p, const Comm& comm, FecState& state, Buffer& buffer,
     const std::uint64_t parity_base = ch.expected_seq();
     for (int i = 0; i < rw; ++i) {
       h.index = kParityIndexBit | static_cast<std::uint32_t>(i);
-      PooledBuffer out = acquire_payload_buffer(kFecCombinedHeaderBytes + plen);
-      ByteWriter fw(out.bytes);
-      const std::uint64_t seq = parity_base + static_cast<std::uint64_t>(i);
-      write_headers(fw, {context, root_world, seq}, h);
-      out.bytes.resize(kFecCombinedHeaderBytes + plen, 0);
-      pbufs.push_back(std::move(out));
+      pbufs.push_back(framed(parity_base + static_cast<std::uint64_t>(i), plen));
+      pbufs.back().bytes.resize(kFecCombinedHeaderBytes + plen, 0);
       pspans.emplace_back(pbufs.back().bytes.data() + kFecCombinedHeaderBytes,
                           plen);
     }
     gf256::encode_parity(dspans, pspans);
-    for (int i = 0; i < rw; ++i) {
-      state.history.multicast(
-          p, ch,
-          PayloadRef::adopt(std::move(pbufs[static_cast<std::size_t>(i)])),
-          kFecHeaderBytes + plen);
+    for (PooledBuffer& out : pbufs) {
+      state.history.multicast(p, ch, PayloadRef::adopt(std::move(out)));
       ++state.stats.parity_sent;
       ++shard.counters().parity_sent;
     }
@@ -277,37 +267,59 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     const std::size_t off = static_cast<std::size_t>(j) * chunk;
     return std::min(chunk, total - std::min(off, total));
   };
+  // Where a frame stands against the current window: < 0 stale (an earlier
+  // operation or a finished window), 0 current, > 0 early.
+  const auto place = [&](const FecHeader& h) {
+    if (h.op_base != op_base) {
+      return h.op_base < op_base ? -1 : 1;
+    }
+    const auto w = static_cast<std::uint32_t>(cur_window);
+    return h.window < w ? -1 : (h.window > w ? 1 : 0);
+  };
+  // Does a current-window frame add a row the window lacks?  Only those
+  // are charged a receive overhead.
+  const auto fresh = [&](const FecHeader& h) {
+    if (h.parity()) {
+      return !has_row(win.parity, h.parity_row());
+    }
+    const int jj = static_cast<int>(h.index) - chunks_before;
+    return !win.known || jj < 0 || jj >= win.kw ||
+           win.data[static_cast<std::size_t>(jj)].empty();
+  };
+  // The current window's data rows still missing.
+  const auto missing_rows = [&] {
+    std::vector<int> missing;
+    for (int jj = 0; jj < win.kw; ++jj) {
+      if (win.data[static_cast<std::size_t>(jj)].empty() &&
+          chunk_len(chunks_before + jj) > 0) {
+        missing.push_back(jj);
+      }
+    }
+    return missing;
+  };
   // Absorb a frame of the CURRENT window; pays the receive overhead when
   // the socket wake did not already charge it (stashed/early frames).
   const auto absorb = [&](const FecHeader& h, PayloadRef body, bool charged) {
     learn_geometry(h);
     win.learn(h);
-    bool fresh = false;
-    if (h.parity()) {
-      const int row = h.parity_row();
-      if (!has_row(win.parity, row)) {
-        win.parity.emplace_back(row, std::move(body));
-        fresh = true;
-      }
-    } else {
-      const int jj = static_cast<int>(h.index) - chunks_before;
-      MC_EXPECTS(jj >= 0 && jj < win.kw);
-      if (win.data[static_cast<std::size_t>(jj)].empty() &&
-          chunk_len(static_cast<int>(h.index)) > 0) {
-        win.data[static_cast<std::size_t>(jj)] = std::move(body);
-        ++win.data_have;
-        fresh = true;
-      } else if (chunk_len(static_cast<int>(h.index)) == 0 &&
-                 win.data_have <= jj) {
-        // Zero-length chunk (empty broadcast): nothing to store, but the
-        // row is accounted for.
-        ++win.data_have;
-        fresh = true;
-      }
+    if (!fresh(h)) {
+      return;
     }
-    if (fresh && !charged) {
+    if (!charged) {
       charge_mcast_recv(p, kFecHeaderBytes + body.size());
     }
+    if (h.parity()) {
+      win.parity.emplace_back(h.parity_row(), std::move(body));
+      return;
+    }
+    const int jj = static_cast<int>(h.index) - chunks_before;
+    MC_EXPECTS(jj >= 0 && jj < win.kw);
+    // A zero-length chunk (empty broadcast) stores nothing, but its row is
+    // accounted for.
+    if (chunk_len(static_cast<int>(h.index)) > 0) {
+      win.data[static_cast<std::size_t>(jj)] = std::move(body);
+    }
+    ++win.data_have;
   };
 
   for (;;) {
@@ -315,34 +327,19 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     // retransmissions and frames that arrived while a previous window was
     // being decoded land there.
     for (auto it = state.stash.begin(); it != state.stash.end();) {
-      const FecHeader& h = it->second.h;
-      if (h.op_base < op_base ||
-          (h.op_base == op_base &&
-           h.window < static_cast<std::uint32_t>(cur_window))) {
-        it = state.stash.erase(it);  // stale operation or finished window
-        continue;
+      const int at = place(it->second.h);
+      if (at == 0) {
+        absorb(it->second.h, std::move(it->second.body), /*charged=*/false);
       }
-      if (h.op_base == op_base &&
-          h.window == static_cast<std::uint32_t>(cur_window)) {
-        absorb(h, std::move(it->second.body), /*charged=*/false);
-        it = state.stash.erase(it);
-        continue;
-      }
-      ++it;
+      // Stale (an earlier operation or a finished window) or absorbed.
+      it = at > 0 ? std::next(it) : state.stash.erase(it);
     }
 
     if (win.complete()) {
       // Reconstruct the missing rows from the parity (pure function of the
       // delivered-chunk set: parity rows are consumed in ascending row
       // order, gf256::decode is deterministic).
-      std::vector<int> missing;
-      for (int jj = 0; jj < win.kw; ++jj) {
-        const int j = chunks_before + jj;
-        if (win.data[static_cast<std::size_t>(jj)].empty() &&
-            chunk_len(j) > 0) {
-          missing.push_back(jj);
-        }
-      }
+      const std::vector<int> missing = missing_rows();
       if (!missing.empty()) {
         std::vector<std::span<const std::uint8_t>> dspans(
             static_cast<std::size_t>(win.kw));
@@ -395,21 +392,9 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
             return kTimeZero;
           }
           const FecHeader h = parse_fec_header(peek);
-          if (h.op_base != op_base ||
-              h.window != static_cast<std::uint32_t>(cur_window)) {
-            return kTimeZero;  // stale, early, or foreign: uncharged wake
-          }
-          // Charge only frames that advance the current window.
-          if (h.parity()) {
-            if (has_row(win.parity, h.parity_row())) {
-              return kTimeZero;
-            }
-          } else {
-            const int jj = static_cast<int>(h.index) - chunks_before;
-            if (win.known && jj >= 0 && jj < win.kw &&
-                !win.data[static_cast<std::size_t>(jj)].empty()) {
-              return kTimeZero;
-            }
+          // Stale, early, foreign or duplicate frames wake uncharged.
+          if (place(h) != 0 || !fresh(h)) {
+            return kTimeZero;
           }
           return mcast_recv_cost(p, dg.data.size() - kMcastFrameHeaderBytes);
         });
@@ -421,19 +406,14 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
       }
       const FecHeader h = parse_fec_header(r);
       PayloadRef body = datagram->datagram.data.slice(r.position());
-      if (h.op_base < op_base ||
-          (h.op_base == op_base &&
-           h.window < static_cast<std::uint32_t>(cur_window))) {
-        continue;  // stale duplicate
-      }
-      if (h.op_base > op_base ||
-          h.window > static_cast<std::uint32_t>(cur_window)) {
+      const int at = place(h);
+      if (at > 0) {
         state.stash.emplace(seq, Stashed{h, std::move(body)});
-        continue;
+      } else if (at == 0) {
+        absorb(h, std::move(body), datagram->charge_absorbed);
+        timer.reset_timeout();  // progress: reset the fallback clock
       }
-      absorb(h, std::move(body), datagram->charge_absorbed);
-      timer.reset_timeout();  // progress: reset the fallback clock
-      continue;
+      continue;  // a stale duplicate is dropped
     }
 
     // Timeout: the window lost more than its parity can absorb (or the
@@ -454,22 +434,15 @@ Buffer recv_fec(Proc& p, const Comm& comm, FecState& state, int root) {
     ++shard.counters().fec_fallbacks;
     ++shard.counters().nacks_sent;
     std::vector<std::uint64_t> want;
-    if (win.known) {
-      for (int jj = 0; jj < win.kw; ++jj) {
-        if (win.data[static_cast<std::size_t>(jj)].empty() &&
-            chunk_len(chunks_before + jj) > 0) {
-          want.push_back(win_base + static_cast<std::uint64_t>(jj));
-        }
-      }
-      if (want.empty()) {
-        // Degenerate gap (zero-length chunks unseen): re-request the
-        // window's first frame to re-establish progress.
-        want.push_back(win_base);
-      }
-    } else {
-      want.push_back(win_base);  // geometry unknown: any frame restores it
+    for (const int jj : missing_rows()) {
+      want.push_back(win_base + static_cast<std::uint64_t>(jj));
     }
-    send_nack(p, comm, root, mpi::kTagFecNack, NackFormat::kCounted, want);
+    if (want.empty()) {
+      // Geometry unknown (any frame restores it), or a degenerate gap of
+      // unseen zero-length chunks: re-request the window's first frame.
+      want.push_back(win_base);
+    }
+    send_seqs(p, comm, root, mpi::kTagFecNack, SeqFormat::kCounted, want);
   }
 }
 

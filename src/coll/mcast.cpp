@@ -163,18 +163,9 @@ Buffer mcast_recv_framed(Proc& p, const Comm& comm, int root,
                          mpi::CostTier tier) {
   mpi::McastChannel& ch = p.mcast_channel(comm);
   for (;;) {
-    // Charged receive: when this rank parks for the datagram, the arrival
-    // prices the receive overhead (header peek decides — stale duplicates
-    // wake immediately and cost nothing) and the rank resumes once, at
-    // arrival + overhead, instead of waking only to sleep the charge.
-    auto [d, charged] = ch.socket().recv_charged(
-        p.self(), [&p, &ch, tier](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          if (read_frame_header(peek).seq < ch.expected_seq()) {
-            return kTimeZero;  // stale duplicate: skipped, never charged
-          }
-          return mcast_recv_cost(p, dg.data.size() - peek.position(), tier);
-        });
+    // Stale duplicates wake uncharged and are skipped.
+    auto [d, charged] =
+        ch.socket().recv_charged(p.self(), expected_frame_charge(p, ch, tier));
     ByteReader r(d.data);
     const FrameHeader h = read_frame_header(r);
     if (h.seq < ch.expected_seq()) {

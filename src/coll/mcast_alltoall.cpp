@@ -1,6 +1,7 @@
 #include "coll/mcast_alltoall.hpp"
 
 #include "coll/mcast.hpp"
+#include "coll/mcast_scatter.hpp"
 #include "common/assert.hpp"
 
 namespace mcmpi::coll {
@@ -27,44 +28,13 @@ std::vector<Buffer> alltoall_mcast_rr(Proc& p, const Comm& comm,
 
   for (int round = 0; round < size; ++round) {
     if (round == me) {
-      // One datagram: [u32 count][u64 len x N][blocks...], framed and
-      // multicast through the gather-send path.
-      std::size_t total = alltoall_table_bytes(size);
-      for (const Buffer& block : to_each) {
-        total += block.size();
-      }
-      Buffer datagram;
-      datagram.reserve(total);
-      ByteWriter w(datagram);
-      w.u32(static_cast<std::uint32_t>(size));
-      for (const Buffer& block : to_each) {
-        w.u64(block.size());
-      }
-      for (const Buffer& block : to_each) {
-        w.bytes(block);
-      }
-      mcast_send_framed(p, comm, datagram, round, net::FrameKind::kData);
+      mcast_send_framed(p, comm, pack_block_table(to_each), round,
+                        net::FrameKind::kData);
       out[static_cast<std::size_t>(me)] =
           to_each[static_cast<std::size_t>(me)];
     } else {
       const Buffer payload = mcast_recv_framed(p, comm, round);
-      ByteReader reader(payload);
-      const auto count = static_cast<int>(reader.u32());
-      MC_ASSERT_MSG(count == size, "alltoall round with a foreign table");
-      std::size_t offset = 0;
-      std::size_t mine = 0;
-      for (int rank = 0; rank < size; ++rank) {
-        const std::uint64_t len = reader.u64();
-        if (rank < me) {
-          offset += len;
-        } else if (rank == me) {
-          mine = len;
-        }
-      }
-      const auto blocks = reader.rest();
-      MC_ASSERT_MSG(offset + mine <= blocks.size(),
-                    "alltoall table overruns the datagram");
-      const auto view = blocks.subspan(offset, mine);
+      const auto view = table_block(payload, size, me);
       out[static_cast<std::size_t>(round)].assign(view.begin(), view.end());
     }
   }

@@ -27,12 +27,6 @@
 
 namespace mcmpi::coll {
 
-/// Wire overhead of the block table for an N-rank alltoall round (u32
-/// count + one u64 length per block) — budget it when sizing the datagram.
-inline constexpr std::size_t alltoall_table_bytes(int ranks) {
-  return 4 + 8 * static_cast<std::size_t>(ranks);
-}
-
 /// Round-robin multicast alltoall: `to_each[i]` goes to comm rank i;
 /// returns what every rank sent to this one.
 std::vector<Buffer> alltoall_mcast_rr(mpi::Proc& p, const mpi::Comm& comm,

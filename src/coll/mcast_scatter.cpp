@@ -29,7 +29,7 @@ Buffer scatter_mcast_slice(Proc& p, const Comm& comm,
     MC_EXPECTS_MSG(static_cast<int>(chunks.size()) == size,
                    "scatter needs one chunk per rank");
     const std::size_t total = std::accumulate(
-        chunks.begin(), chunks.end(), scatter_table_bytes(size),
+        chunks.begin(), chunks.end(), block_table_bytes(size),
         [](std::size_t sum, const Buffer& c) { return sum + c.size(); });
     // The registry predicate checks the facade's chunk_bytes HINT, which an
     // explicitly named algorithm may pass as 0 — so the real payload must be
@@ -42,39 +42,52 @@ Buffer scatter_mcast_slice(Proc& p, const Comm& comm,
                    "concatenated scatter payload exceeds the receivers' "
                    "multicast socket buffer (use the point-to-point "
                    "algorithm)");
-    Buffer wire;
-    wire.reserve(total);
-    ByteWriter w(wire);
-    w.u32(static_cast<std::uint32_t>(size));
-    for (const Buffer& chunk : chunks) {
-      w.u64(chunk.size());
-    }
-    for (const Buffer& chunk : chunks) {
-      w.bytes(chunk);
-    }
-    mcast_send_framed(p, comm, wire, root, net::FrameKind::kData);
+    mcast_send_framed(p, comm, pack_block_table(chunks), root,
+                      net::FrameKind::kData);
     return chunks[static_cast<std::size_t>(root)];
   }
 
   const Buffer wire = mcast_recv_framed(p, comm, root);
-  ByteReader r(wire);
-  const std::uint32_t n = r.u32();
-  MC_ASSERT_MSG(n == static_cast<std::uint32_t>(size),
-                "scatter chunk table does not match the communicator");
+  const auto mine = table_block(wire, size, rank);
+  return Buffer(mine.begin(), mine.end());
+}
+
+Buffer pack_block_table(const std::vector<Buffer>& blocks) {
+  Buffer table;
+  table.reserve(std::accumulate(
+      blocks.begin(), blocks.end(),
+      block_table_bytes(static_cast<int>(blocks.size())),
+      [](std::size_t sum, const Buffer& b) { return sum + b.size(); }));
+  ByteWriter w(table);
+  w.u32(static_cast<std::uint32_t>(blocks.size()));
+  for (const Buffer& block : blocks) {
+    w.u64(block.size());
+  }
+  for (const Buffer& block : blocks) {
+    w.bytes(block);
+  }
+  return table;
+}
+
+std::span<const std::uint8_t> table_block(std::span<const std::uint8_t> table,
+                                          int count, int index) {
+  ByteReader r(table);
+  MC_ASSERT_MSG(r.u32() == static_cast<std::uint32_t>(count),
+                "block table does not match the communicator");
   std::size_t offset = 0;
-  std::size_t mine_bytes = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t len = r.u64();
-    if (i < static_cast<std::uint32_t>(rank)) {
-      offset += static_cast<std::size_t>(len);
-    } else if (i == static_cast<std::uint32_t>(rank)) {
-      mine_bytes = static_cast<std::size_t>(len);
+  std::size_t len = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto bytes = static_cast<std::size_t>(r.u64());
+    if (i < index) {
+      offset += bytes;
+    } else if (i == index) {
+      len = bytes;
     }
   }
-  const auto body = r.rest();
-  MC_ASSERT(offset + mine_bytes <= body.size());
-  return Buffer(body.begin() + static_cast<std::ptrdiff_t>(offset),
-                body.begin() + static_cast<std::ptrdiff_t>(offset + mine_bytes));
+  const auto blocks = r.rest();
+  MC_ASSERT_MSG(offset + len <= blocks.size(),
+                "block table overruns the datagram");
+  return blocks.subspan(offset, len);
 }
 
 }  // namespace mcmpi::coll

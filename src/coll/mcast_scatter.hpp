@@ -24,11 +24,20 @@
 
 namespace mcmpi::coll {
 
-/// Wire overhead of the chunk table for an N-rank scatter (u32 count +
-/// one u64 length per chunk).
-inline constexpr std::size_t scatter_table_bytes(int ranks) {
+/// Wire overhead of the block table for N ranks (u32 count + one u64
+/// length per block) — budget it when sizing the datagram.
+inline constexpr std::size_t block_table_bytes(int ranks) {
   return 4 + 8 * static_cast<std::size_t>(ranks);
 }
+
+/// [u32 count][u64 length x count][blocks...]: the one datagram of the
+/// multicast scatter and of each multicast alltoall round.
+Buffer pack_block_table(const std::vector<Buffer>& blocks);
+
+/// Block `index` of a packed block table; asserts the table holds `count`
+/// blocks and fits the datagram.
+std::span<const std::uint8_t> table_block(std::span<const std::uint8_t> table,
+                                          int count, int index);
 
 /// Scatter `chunks` (root only; comm.size() entries) with one multicast;
 /// returns this rank's chunk.

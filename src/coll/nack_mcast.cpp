@@ -15,7 +15,7 @@ struct NackState {
   // installed by the first broadcast this rank roots.
   RetainedHistory history{params.history_frames, params.aggregation_window};
   EarlyFrames early;  // receiver side
-  NackMcastStats stats;
+  NackStats stats;
 };
 
 }  // namespace
@@ -38,19 +38,12 @@ void bcast_nack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root) {
   if (comm.size() == 1) {
     return;
   }
-  mpi::McastChannel& ch = p.mcast_channel(comm);
   NackState& state = p.coll_state<NackState>(comm);
 
   if (comm.rank() == root) {
     state.history.serve_nacks(p, comm, mpi::kTagNackMcast,
-                              NackFormat::kSingle, state.stats);
-    // One framed allocation, shared between the outgoing multicast and the
-    // retransmission history.
-    state.history.multicast(
-        p, ch,
-        frame({comm.context(), comm.world_rank_of(root), ch.expected_seq()},
-              buffer),
-        buffer.size());
+                              SeqFormat::kSingle, state.stats);
+    state.history.multicast(p, comm, root, buffer);
     // No waiting: the sink serves any recovery from here on.
     return;
   }
@@ -59,7 +52,7 @@ void bcast_nack_mcast(Proc& p, const Comm& comm, Buffer& buffer, int root) {
                          mpi::kTagNackMcast, state.stats, "nack-mcast", root);
 }
 
-const NackMcastStats& nack_mcast_stats(Proc& p, const Comm& comm) {
+const NackStats& nack_mcast_stats(Proc& p, const Comm& comm) {
   return p.coll_state<NackState>(comm).stats;
 }
 

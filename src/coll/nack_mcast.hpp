@@ -51,8 +51,6 @@ struct NackMcastParams {
   std::size_t history_frames = 64;
 };
 
-using NackMcastStats = NackStats;
-
 /// Sets the protocol parameters for `comm` (per-communicator, like
 /// set_segmented_config; keep it communicator-uniform).  Throws
 /// std::invalid_argument on out-of-range values.
@@ -68,6 +66,6 @@ void bcast_nack_mcast(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                       int root);
 
 /// Cumulative protocol statistics on this rank.
-const NackMcastStats& nack_mcast_stats(mpi::Proc& p, const mpi::Comm& comm);
+const NackStats& nack_mcast_stats(mpi::Proc& p, const mpi::Comm& comm);
 
 }  // namespace mcmpi::coll

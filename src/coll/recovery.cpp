@@ -37,15 +37,6 @@ void send_framed(mpi::Proc& p, mpi::McastChannel& ch, const FrameHeader& h,
   ch.send(header, payload, kind);
 }
 
-PayloadRef frame(const FrameHeader& h, std::span<const std::uint8_t> payload) {
-  PooledBuffer out =
-      acquire_payload_buffer(kMcastFrameHeaderBytes + payload.size());
-  ByteWriter w(out.bytes);
-  write_frame_header(w, h);
-  w.bytes(payload);
-  return PayloadRef::adopt(std::move(out));
-}
-
 SimTime mcast_recv_cost(mpi::Proc& p, std::size_t bytes, mpi::CostTier tier) {
   return p.costs().recv_overhead(static_cast<std::int64_t>(bytes), tier);
 }
@@ -59,23 +50,39 @@ void charge_mcast_send(mpi::Proc& p, std::size_t bytes, mpi::CostTier tier) {
       p.costs().send_overhead(static_cast<std::int64_t>(bytes), tier));
 }
 
+std::function<SimTime(const inet::UdpDatagram&)> expected_frame_charge(
+    mpi::Proc& p, mpi::McastChannel& ch, mpi::CostTier tier) {
+  return [&p, &ch, tier](const inet::UdpDatagram& dg) -> SimTime {
+    ByteReader peek(dg.data);
+    if (read_frame_header(peek).seq != ch.expected_seq()) {
+      return kTimeZero;
+    }
+    return mcast_recv_cost(p, dg.data.size() - peek.position(), tier);
+  };
+}
+
 // --------------------------------------------------------- retry policy
 
+namespace {
+
+[[noreturn]] void reject(std::string_view engine, const char* what) {
+  throw std::invalid_argument(std::string(engine) + ": " + what);
+}
+
+}  // namespace
+
 void validate(const RetryPolicy& policy, std::string_view engine) {
-  const auto reject = [engine](const char* what) {
-    throw std::invalid_argument(std::string(engine) + ": " + what);
-  };
   if (policy.timeout <= kTimeZero) {
-    reject("retry timeout must be > 0");
+    reject(engine, "retry timeout must be > 0");
   }
   if (policy.backoff < 1.0) {
-    reject("retry backoff must be >= 1");
+    reject(engine, "retry backoff must be >= 1");
   }
   if (policy.cap < policy.timeout) {
-    reject("retry cap must be >= the retry timeout");
+    reject(engine, "retry cap must be >= the retry timeout");
   }
   if (policy.max_retries < 0) {
-    reject("max_retries must be >= 0");
+    reject(engine, "max_retries must be >= 0");
   }
 }
 
@@ -91,41 +98,38 @@ void RetryTimer::step(const std::function<std::string()>& diagnose) {
 
 // ----------------------------------------------------- retained history
 
-void send_nack(mpi::Proc& p, const mpi::Comm& comm, int dst, mpi::Tag tag,
-               NackFormat format, std::span<const std::uint64_t> seqs) {
-  Buffer nack;
-  ByteWriter w(nack);
-  if (format == NackFormat::kCounted) {
+void send_seqs(mpi::Proc& p, const mpi::Comm& comm, int dst, mpi::Tag tag,
+               SeqFormat format, std::span<const std::uint64_t> seqs) {
+  Buffer msg;
+  ByteWriter w(msg);
+  if (format == SeqFormat::kCounted) {
     w.u32(static_cast<std::uint32_t>(seqs.size()));
   }
   for (const std::uint64_t seq : seqs) {
     w.u64(seq);
   }
-  p.send(comm, dst, tag, nack, net::FrameKind::kControl, mpi::CostTier::kRaw);
+  p.send(comm, dst, tag, msg, net::FrameKind::kControl, mpi::CostTier::kRaw);
 }
 
 void RetainedHistory::set_limits(std::size_t frames,
                                  SimTime aggregation_window,
                                  std::string_view engine) {
   if (aggregation_window < kTimeZero) {
-    throw std::invalid_argument(std::string(engine) +
-                                ": aggregation_window must be >= 0");
+    reject(engine, "aggregation_window must be >= 0");
   }
   if (frames < 1) {
-    throw std::invalid_argument(std::string(engine) +
-                                ": history_frames must be >= 1");
+    reject(engine, "history_frames must be >= 1");
   }
   frames_ = frames;
   aggregation_window_ = aggregation_window;
 }
 
 void RetainedHistory::serve_nacks(mpi::Proc& p, const mpi::Comm& comm,
-                                  mpi::Tag tag, NackFormat format,
+                                  mpi::Tag tag, SeqFormat format,
                                   SinkStats& stats) {
-  if (installed_) {
+  if (channel_ != nullptr) {
     return;
   }
-  installed_ = true;
   channel_ = &p.mcast_channel(comm);
   // The sink always executes on the NACK's receiving rank — this rank — so
   // the shard captured here is the one whose counters it may touch.
@@ -135,7 +139,7 @@ void RetainedHistory::serve_nacks(mpi::Proc& p, const mpi::Comm& comm,
                       [this, format](mpi::Rank /*src*/, PayloadRef data) {
                         ByteReader r(data);
                         const std::uint32_t count =
-                            format == NackFormat::kCounted ? r.u32() : 1;
+                            format == SeqFormat::kCounted ? r.u32() : 1;
                         for (std::uint32_t i = 0; i < count; ++i) {
                           serve(r.u64());
                         }
@@ -162,15 +166,27 @@ void RetainedHistory::serve(std::uint64_t seq) {
 }
 
 void RetainedHistory::multicast(mpi::Proc& p, mpi::McastChannel& ch,
-                                PayloadRef framed, std::size_t bytes) {
+                                PayloadRef framed) {
   history_.emplace(ch.expected_seq(), framed);
   while (history_.size() > frames_) {
     last_resend_.erase(history_.begin()->first);
     history_.erase(history_.begin());
   }
-  charge_mcast_send(p, bytes);
+  charge_mcast_send(p, framed.size() - kMcastFrameHeaderBytes);
   ch.send(std::move(framed), net::FrameKind::kData);
   ch.advance_seq();
+}
+
+void RetainedHistory::multicast(mpi::Proc& p, const mpi::Comm& comm, int root,
+                                std::span<const std::uint8_t> payload) {
+  mpi::McastChannel& ch = p.mcast_channel(comm);
+  PooledBuffer out =
+      acquire_payload_buffer(kMcastFrameHeaderBytes + payload.size());
+  ByteWriter w(out.bytes);
+  write_frame_header(w, {comm.context(), comm.world_rank_of(root),
+                         ch.expected_seq()});
+  w.bytes(payload);
+  multicast(p, ch, PayloadRef::adopt(std::move(out)));
 }
 
 // --------------------------------------------------------- gap receiver
@@ -192,13 +208,7 @@ Buffer recv_in_order(mpi::Proc& p, const mpi::Comm& comm, EarlyFrames& early,
     }
     auto datagram = ch.socket().recv_until_charged(
         p.self(), p.self().now() + timer.timeout(),
-        [&](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          if (read_frame_header(peek).seq != expected) {
-            return kTimeZero;  // duplicate or early frame: uncharged wake
-          }
-          return mcast_recv_cost(p, dg.data.size() - peek.position());
-        });
+        expected_frame_charge(p, ch));
     if (!datagram.has_value()) {
       // Gap: request exactly the missing frame.
       timer.step([&] {
@@ -214,7 +224,7 @@ Buffer recv_in_order(mpi::Proc& p, const mpi::Comm& comm, EarlyFrames& early,
       });
       ++stats.nacks_sent;
       ++p.self().shard().counters().nacks_sent;
-      send_nack(p, comm, nack_to, tag, NackFormat::kSingle, {&expected, 1});
+      send_seqs(p, comm, nack_to, tag, SeqFormat::kSingle, {&expected, 1});
       continue;
     }
     ByteReader r(datagram->datagram.data);

@@ -51,10 +51,6 @@ void send_framed(mpi::Proc& p, mpi::McastChannel& ch, const FrameHeader& h,
                  std::span<const std::uint8_t> payload, net::FrameKind kind,
                  mpi::CostTier tier = mpi::CostTier::kMcastData);
 
-/// Header + payload in one pooled allocation, shareable between the
-/// outgoing multicast and a retained history.
-PayloadRef frame(const FrameHeader& h, std::span<const std::uint8_t> payload);
-
 /// Host software overhead of sending / receiving `bytes` of framed payload
 /// (the bytes after the frame header): the cost, and sleeping it.
 SimTime mcast_recv_cost(mpi::Proc& p, std::size_t bytes,
@@ -63,6 +59,14 @@ void charge_mcast_recv(mpi::Proc& p, std::size_t bytes,
                        mpi::CostTier tier = mpi::CostTier::kMcastData);
 void charge_mcast_send(mpi::Proc& p, std::size_t bytes,
                        mpi::CostTier tier = mpi::CostTier::kMcastData);
+
+/// The charge of a charged receive on `ch` (UdpSocket::recv_charged): the
+/// frame the channel expects next prices its receive overhead into the
+/// wake, so the rank resumes once, at arrival + overhead; duplicates and
+/// early frames wake uncharged.
+std::function<SimTime(const inet::UdpDatagram&)> expected_frame_charge(
+    mpi::Proc& p, mpi::McastChannel& ch,
+    mpi::CostTier tier = mpi::CostTier::kMcastData);
 
 // --------------------------------------------------------- retry policy
 
@@ -123,12 +127,13 @@ struct NackStats : SinkStats {
   std::uint64_t nacks_sent = 0;  // receiver side
 };
 
-/// NACK payload layouts: one u64 sequence, or a u32 count of them.
-enum class NackFormat { kSingle, kCounted };
+/// Layouts of a sequence-list control payload (a NACK or an ACK): one u64
+/// sequence, or a u32 count of them.
+enum class SeqFormat { kSingle, kCounted };
 
-/// Sends one NACK for `seqs` to `dst` over the raw control path.
-void send_nack(mpi::Proc& p, const mpi::Comm& comm, int dst, mpi::Tag tag,
-               NackFormat format, std::span<const std::uint64_t> seqs);
+/// Sends `seqs` to `dst` as one control message over the raw path.
+void send_seqs(mpi::Proc& p, const mpi::Comm& comm, int dst, mpi::Tag tag,
+               SeqFormat format, std::span<const std::uint64_t> seqs);
 
 /// Root-side retransmission service: keeps the newest `frames` framed
 /// multicasts, and an engine sink re-multicasts a NACKed one unless the
@@ -153,21 +158,23 @@ class RetainedHistory {
   /// no-ops.  Counts into `stats` and this rank's shard counters.  The
   /// owner must outlive the communicator (Proc::coll_state does).
   void serve_nacks(mpi::Proc& p, const mpi::Comm& comm, mpi::Tag tag,
-                   NackFormat format, SinkStats& stats);
+                   SeqFormat format, SinkStats& stats);
 
   /// Retains `framed` under the channel's next sequence (evicting the
-  /// oldest beyond the bound), charges the send overhead for `bytes`,
-  /// multicasts it and advances the sequence.
-  void multicast(mpi::Proc& p, mpi::McastChannel& ch, PayloadRef framed,
-                 std::size_t bytes);
+  /// oldest beyond the bound), charges the send overhead for the bytes
+  /// after its frame header, multicasts it and advances the sequence.
+  void multicast(mpi::Proc& p, mpi::McastChannel& ch, PayloadRef framed);
+  /// The same for `payload` as the next framed multicast from `root` on
+  /// `comm`, header and payload in one pooled allocation.
+  void multicast(mpi::Proc& p, const mpi::Comm& comm, int root,
+                 std::span<const std::uint8_t> payload);
 
  private:
   void serve(std::uint64_t seq);
 
   std::size_t frames_;
   SimTime aggregation_window_;
-  bool installed_ = false;
-  mpi::McastChannel* channel_ = nullptr;
+  mpi::McastChannel* channel_ = nullptr;  // set once the sink is installed
   sim::Shard* shard_ = nullptr;
   SinkStats* stats_ = nullptr;
   std::map<std::uint64_t, PayloadRef> history_;

@@ -50,16 +50,6 @@ std::string to_string(CollOp op) {
 
 namespace {
 
-template <std::size_t... I>
-constexpr bool runs_in_op_order(std::index_sequence<I...>) {
-  return ((std::variant_alternative_t<I, CollRun>::kOp ==
-           static_cast<CollOp>(I)) &&
-          ...);
-}
-static_assert(
-    runs_in_op_order(std::make_index_sequence<std::variant_size_v<CollRun>>{}),
-    "CollAlgorithm::op() reads the operation off the run alternative index");
-
 /// Frames needed for an M-byte payload at T = 1472 payload bytes per frame
 /// (the paper's floor(M/T) + 1).
 double frames(std::size_t bytes) {
@@ -398,10 +388,7 @@ void register_builtins(Registry& r) {
                     chunk_count(bytes) * (ranks - 1));
           },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
-      .run = AllgatherRun{[](mpi::Proc& p, const mpi::Comm& comm,
-                             std::span<const std::uint8_t> data) {
-        return allgather_mcast_segmented(p, comm, data);
-      }}});
+      .run = AllgatherRun{allgather_mcast_segmented}});
   r.add(CollAlgorithm{
       .name = "hier",
       .description = "hierarchical: intra gather to segment leaders, leader "
@@ -495,7 +482,7 @@ void register_builtins(Registry& r) {
           [](const mpi::Comm& comm, std::size_t bytes) {
             return fits_mcast_datagram(
                 comm, bytes * static_cast<std::size_t>(comm.size()) +
-                          scatter_table_bytes(comm.size()));
+                          block_table_bytes(comm.size()));
           },
       // Scout synchronization + the whole payload once.
       .cost_hint = [](std::size_t bytes,
@@ -515,7 +502,7 @@ void register_builtins(Registry& r) {
           [](std::size_t bytes, int ranks) {
             const std::size_t total =
                 bytes * static_cast<std::size_t>(std::max(ranks, 1)) +
-                scatter_table_bytes(ranks);
+                block_table_bytes(ranks);
             return log2n(ranks) + frames(total) +
                    chunk_count(total) * (ranks - 1);
           },
@@ -542,7 +529,7 @@ void register_builtins(Registry& r) {
           [](const mpi::Comm& comm, std::size_t bytes) {
             return fits_mcast_datagram(
                 comm, bytes * static_cast<std::size_t>(comm.size()) +
-                          alltoall_table_bytes(comm.size()));
+                          block_table_bytes(comm.size()));
           },
       // Barrier + N serialized rounds, each one datagram of N blocks; the
       // per-rank saving is N-1 sends folded into one.

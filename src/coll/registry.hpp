@@ -106,7 +106,7 @@ using AlltoallRun =
           std::vector<Buffer>(mpi::Proc&, const mpi::Comm&,
                               const std::vector<Buffer>& to_each)>;
 
-/// One run function per entry; alternatives in CollOp declaration order.
+/// One run function per entry.
 using CollRun = std::variant<BcastRun, BarrierRun, AllreduceRun, AllgatherRun,
                              ReduceRun, GatherRun, ScatterRun, ScanRun,
                              AlltoallRun>;
@@ -140,7 +140,9 @@ struct CollAlgorithm {
 
   CollRun run;
 
-  CollOp op() const { return static_cast<CollOp>(run.index()); }
+  CollOp op() const {
+    return std::visit([](const auto& r) { return r.kOp; }, run);
+  }
 
   /// The run function, typed; throws std::bad_variant_access when the
   /// entry serves another operation.

@@ -24,10 +24,7 @@ namespace {
 constexpr std::size_t kCombinedHeaderBytes =
     kMcastFrameHeaderBytes + kSegHeaderBytes;
 
-struct SegHeader {
-  std::uint32_t context = 0;
-  std::int32_t root_world = 0;
-  std::uint64_t seq = 0;      // per-lane channel sequence
+struct SegHeader : FrameHeader {  // seq: the per-lane channel sequence
   // Chunk number, 0-based.  A parity frame of the FEC recovery mode sets
   // kParityIndexBit over its parity row, and `offset` carries its
   // generation; data frames never set the bit (the u32 count caps a
@@ -43,7 +40,7 @@ Buffer seg_header_bytes(const SegHeader& h) {
   Buffer out;
   out.reserve(kCombinedHeaderBytes);
   ByteWriter w(out);
-  write_frame_header(w, {h.context, h.root_world, h.seq});
+  write_frame_header(w, h);
   w.u32(h.index);
   w.u32(h.count);
   w.u64(h.offset);
@@ -53,8 +50,7 @@ Buffer seg_header_bytes(const SegHeader& h) {
 }
 
 SegHeader parse_seg_header(ByteReader& r) {
-  const FrameHeader frame = read_frame_header(r);
-  SegHeader h{frame.context, frame.root_world, frame.seq};
+  SegHeader h{read_frame_header(r)};
   h.index = r.u32();
   h.count = r.u32();
   h.offset = r.u64();
@@ -132,7 +128,15 @@ void segmented_send(Proc& p, const Comm& comm, int root,
   std::uint64_t acks_consumed = 0;
   std::shared_ptr<mpi::RecvRequest> request;
 
+  // Gather-send of one chunk or parity frame: `h`'s framing into the
+  // header slot parts[0], then the payload parts after it.
   std::vector<std::span<const std::uint8_t>> parts;
+  const auto send_parts = [&](mpi::McastChannel& ch, const SegHeader& h) {
+    const Buffer header = seg_header_bytes(h);
+    charge_mcast_send(p, h.length);
+    parts.front() = header;
+    ch.send_parts(parts, net::FrameKind::kData);
+  };
   const auto transmit = [&](std::uint32_t i, bool first) {
     ChunkState& c = chunks[i];
     mpi::McastChannel& ch = p.mcast_channel(comm, c.lane);
@@ -141,15 +145,11 @@ void segmented_send(Proc& p, const Comm& comm, int root,
     }
     // A retransmission reuses the original lane sequence, so receivers
     // that already consumed the chunk skip it as a stale duplicate.
-    const SegHeader h{comm.context(), comm.world_rank_of(root), c.seq,
-                      i,              n_chunks,                  c.offset,
-                      c.length,       total};
-    const Buffer header = seg_header_bytes(h);
-    charge_mcast_send(p, c.length);
-    parts.clear();
-    parts.push_back(header);
+    const SegHeader h{{comm.context(), comm.world_rank_of(root), c.seq},
+                      i, n_chunks, c.offset, c.length, total};
+    parts.assign(1, {});
     collect_chunk_parts(stream, c.offset, c.length, parts);
-    ch.send_parts(parts, net::FrameKind::kData);
+    send_parts(ch, h);
     if (first) {
       ch.advance_seq();
       ++counters.chunk_sent;
@@ -176,10 +176,8 @@ void segmented_send(Proc& p, const Comm& comm, int root,
     const std::uint32_t k0 =
         g * static_cast<std::uint32_t>(cfg.window * cfg.lanes) +
         static_cast<std::uint32_t>(lane);
-    std::uint32_t gen_size = 0;
-    for (std::uint32_t k = k0; k <= i; k += static_cast<std::uint32_t>(cfg.lanes)) {
-      ++gen_size;
-    }
+    const std::uint32_t gen_size =
+        (i - k0) / static_cast<std::uint32_t>(cfg.lanes) + 1;
     const std::size_t plen = chunks[k0].length;  // longest row of the gen
     mpi::McastChannel& ch = p.mcast_channel(comm, lane);
     for (int pr = 0; pr < fec_r; ++pr) {
@@ -201,20 +199,15 @@ void segmented_send(Proc& p, const Comm& comm, int root,
           pos += part.size();
         }
       }
-      const SegHeader h{comm.context(),
-                        comm.world_rank_of(root),
-                        ch.expected_seq(),
+      const SegHeader h{{comm.context(), comm.world_rank_of(root),
+                         ch.expected_seq()},
                         kParityIndexBit | static_cast<std::uint32_t>(pr),
                         n_chunks,
                         g,
                         plen,
                         total};
-      const Buffer header = seg_header_bytes(h);
-      charge_mcast_send(p, plen);
-      parts.clear();
-      parts.push_back(header);
-      parts.push_back(scratch.bytes);
-      ch.send_parts(parts, net::FrameKind::kData);
+      parts.assign({{}, scratch.bytes});
+      send_parts(ch, h);
       ch.advance_seq();
       ++counters.parity_sent;
     }
@@ -414,16 +407,23 @@ void segmented_recv(
         dspans[q] = present[q]->view();
       }
     }
+    // The rebuilt rows, framed as their originals were: the cursor's chunk
+    // is consumed below, later ones are stashed under their lane sequences.
+    const std::uint64_t base = ch.expected_seq();
+    std::vector<SegHeader> heads;
     std::vector<Buffer> rebuilt(missing.size());
-    std::vector<std::span<std::uint8_t>> outs(missing.size());
+    std::vector<std::span<std::uint8_t>> outs;
     for (std::size_t t = 0; t < missing.size(); ++t) {
+      const auto q = static_cast<std::uint32_t>(missing[t]);
       const std::uint32_t kk =
-          (g * window_u + static_cast<std::uint32_t>(missing[t])) * lanes_u +
-          static_cast<std::uint32_t>(lane);
+          (g * window_u + q) * lanes_u + static_cast<std::uint32_t>(lane);
       const std::size_t off = static_cast<std::size_t>(kk) * chunk_bytes;
       rebuilt[t].resize(std::min(
           chunk_bytes, static_cast<std::size_t>(stream_total) - off));
-      outs[t] = rebuilt[t];
+      outs.emplace_back(rebuilt[t]);
+      heads.push_back({{comm.context(), comm.world_rank_of(root),
+                        base + (q - gen_pos)},
+                       kk, n_chunks, off, rebuilt[t].size(), stream_total});
     }
     decode_window(dspans, fl.parity, missing, outs, counters);
     // Parity never matches the expected data slot, so it was never charged
@@ -431,26 +431,13 @@ void segmented_recv(
     for (std::size_t t = 0; t < missing.size(); ++t) {
       charge_mcast_recv(p, kSegHeaderBytes + fl.parity[t].second.size());
     }
-    const std::uint64_t base = ch.expected_seq();
-    bool delivered = false;
+    const bool delivered = missing.front() == static_cast<int>(gen_pos);
     for (std::size_t t = 0; t < missing.size(); ++t) {
-      const std::uint32_t q = static_cast<std::uint32_t>(missing[t]);
-      const std::uint32_t kk =
-          (g * window_u + q) * lanes_u + static_cast<std::uint32_t>(lane);
-      const SegHeader hh{comm.context(),
-                         comm.world_rank_of(root),
-                         base + (q - gen_pos),
-                         kk,
-                         n_chunks,
-                         static_cast<std::uint64_t>(kk) * chunk_bytes,
-                         rebuilt[t].size(),
-                         stream_total};
       PayloadRef body{std::move(rebuilt[t])};
-      if (q == gen_pos) {
-        consume(hh, std::move(body), ch, k);
-        delivered = true;
+      if (t == 0 && delivered) {
+        consume(heads[t], std::move(body), ch, k);
       } else {
-        lane_stash.try_emplace(hh.seq, hh, std::move(body));
+        lane_stash.try_emplace(heads[t].seq, heads[t], std::move(body));
       }
     }
     return delivered;
@@ -490,16 +477,10 @@ void segmented_recv(
       if (fec_r > 0 && try_reconstruct(k, lane, ch, lane_stash)) {
         break;
       }
-      auto [d, charged] = ch.socket().recv_charged(
-          p.self(), [&p, &ch](const inet::UdpDatagram& dg) -> SimTime {
-            ByteReader peek(dg.data);
-            if (read_frame_header(peek).seq != ch.expected_seq()) {
-              // Stale duplicate (skipped) or ahead-of-sequence (stashed,
-              // charged at consumption): never charged here.
-              return kTimeZero;
-            }
-            return mcast_recv_cost(p, dg.data.size() - kMcastFrameHeaderBytes);
-          });
+      // Stale duplicates (skipped) and ahead-of-sequence chunks (stashed,
+      // charged at consumption) wake uncharged.
+      auto [d, charged] =
+          ch.socket().recv_charged(p.self(), expected_frame_charge(p, ch));
       ByteReader r(d.data);
       const SegHeader h = parse_seg_header(r);
       if (h.seq < ch.expected_seq()) {
@@ -547,6 +528,21 @@ void segmented_recv(
       }
     }
   }
+}
+
+/// Receives a whole segmented stream from `root` into `out`, each chunk
+/// copied once, straight into its final place (no reassembly staging).
+void segmented_recv_into(Proc& p, const Comm& comm, int root,
+                         const SegmentedConfig& cfg, Buffer& out) {
+  bool sized = false;
+  segmented_recv(p, comm, root, cfg, [&](const SegHeader& h, PayloadRef body) {
+    if (!sized) {
+      out.resize(h.total);
+      sized = true;
+    }
+    body.copy_to(std::span(out).subspan(static_cast<std::size_t>(h.offset),
+                                        h.length));
+  });
 }
 
 /// Shared preamble of every segmented collective: every rank creates ALL
@@ -621,18 +617,7 @@ void bcast_mcast_segmented(Proc& p, const Comm& comm, Buffer& buffer,
     segmented_send(p, comm, root, stream, cfg);
     return;
   }
-  bool sized = false;
-  segmented_recv(p, comm, root, cfg,
-                 [&](const SegHeader& h, PayloadRef body) {
-                   if (!sized) {
-                     buffer.resize(h.total);
-                     sized = true;
-                   }
-                   // The delivery copy: straight into the chunk's final
-                   // place in the output — no reassembly staging buffer.
-                   body.copy_to(std::span(buffer).subspan(
-                       static_cast<std::size_t>(h.offset), h.length));
-                 });
+  segmented_recv_into(p, comm, root, cfg, buffer);
 }
 
 std::vector<Buffer> allgather_mcast_segmented(
@@ -655,17 +640,7 @@ std::vector<Buffer> allgather_mcast_segmented(
       segmented_send(p, comm, r, stream, cfg);
       continue;
     }
-    Buffer& block = blocks[static_cast<std::size_t>(r)];
-    bool sized = false;
-    segmented_recv(p, comm, r, cfg,
-                   [&](const SegHeader& h, PayloadRef body) {
-                     if (!sized) {
-                       block.resize(h.total);
-                       sized = true;
-                     }
-                     body.copy_to(std::span(block).subspan(
-                         static_cast<std::size_t>(h.offset), h.length));
-                   });
+    segmented_recv_into(p, comm, r, cfg, blocks[static_cast<std::size_t>(r)]);
   }
   return blocks;
 }
@@ -680,7 +655,7 @@ Buffer scatter_mcast_segmented(Proc& p, const Comm& comm,
   }
   const SegmentedConfig cfg = segmented_config(p, comm);
   segmented_sync(p, comm, root, cfg);
-  const std::size_t table_bytes = scatter_table_bytes(size);
+  const std::size_t table_bytes = block_table_bytes(size);
 
   if (comm.rank() == root) {
     MC_EXPECTS_MSG(chunks.size() == static_cast<std::size_t>(size),

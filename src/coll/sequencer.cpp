@@ -16,55 +16,40 @@ struct SeqState {
   // NACK is answered); the bound is the calling broadcast's.
   RetainedHistory history{SequencerParams{}.history_frames, kTimeZero};
   EarlyFrames early;  // receiver side
-  SequencerStats stats;
+  NackStats stats;
 };
-
-RetryPolicy nack_policy(const SequencerParams& params) {
-  return {.timeout = params.nack_timeout,
-          .backoff = 1.0,
-          .cap = params.nack_timeout,
-          .max_retries = kSequencerMaxNacks};
-}
-
-Buffer recv_sequenced(Proc& p, const Comm& comm, SeqState& state, int root,
-                      const SequencerParams& params) {
-  return recv_in_order(p, comm, state.early, nack_policy(params),
-                       kSequencerRank, mpi::kTagSeqNack, state.stats,
-                       "sequencer", root);
-}
 
 }  // namespace
 
 void bcast_sequencer(Proc& p, const Comm& comm, Buffer& buffer, int root,
                      const SequencerParams& params) {
   MC_EXPECTS(root >= 0 && root < comm.size());
-  validate(nack_policy(params), "sequencer");
+  const RetryPolicy policy{.timeout = params.nack_timeout,
+                           .backoff = 1.0,
+                           .cap = params.nack_timeout,
+                           .max_retries = kSequencerMaxNacks};
+  validate(policy, "sequencer");
   if (comm.size() == 1) {
     return;
   }
-  mpi::McastChannel& ch = p.mcast_channel(comm);
+  (void)p.mcast_channel(comm);  // joined before the handoff below
   SeqState& state = p.coll_state<SeqState>(comm);
   state.history.set_limits(params.history_frames, kTimeZero, "sequencer");
   const int rank = comm.rank();
+  const auto recv_sequenced = [&] {
+    return recv_in_order(p, comm, state.early, policy, kSequencerRank,
+                         mpi::kTagSeqNack, state.stats, "sequencer", root);
+  };
 
   if (rank == kSequencerRank) {
-    state.history.serve_nacks(p, comm, mpi::kTagSeqNack, NackFormat::kSingle,
+    state.history.serve_nacks(p, comm, mpi::kTagSeqNack, SeqFormat::kSingle,
                               state.stats);
-    Buffer payload;
-    if (root == kSequencerRank) {
-      payload = buffer;
-    } else {
-      payload =
+    if (root != kSequencerRank) {
+      // The sequencer learns the data from the handoff.
+      buffer =
           p.recv(comm, root, mpi::kTagSequencer, nullptr, mpi::CostTier::kRaw);
-      buffer = payload;  // the sequencer learns the data from the handoff
     }
-    // One framed allocation, shared between the outgoing multicast and the
-    // retransmission history.
-    state.history.multicast(
-        p, ch,
-        frame({comm.context(), comm.world_rank_of(root), ch.expected_seq()},
-              payload),
-        payload.size());
+    state.history.multicast(p, comm, root, buffer);
     return;
   }
 
@@ -73,16 +58,16 @@ void bcast_sequencer(Proc& p, const Comm& comm, Buffer& buffer, int root,
     // (the Orca "commit": the order is only fixed once it comes back).
     p.send(comm, kSequencerRank, mpi::kTagSequencer, buffer,
            net::FrameKind::kData, mpi::CostTier::kRaw);
-    const Buffer echoed = recv_sequenced(p, comm, state, root, params);
+    const Buffer echoed = recv_sequenced();
     MC_ASSERT_MSG(echoed.size() == buffer.size(),
                   "sequencer echoed a different payload");
     return;
   }
 
-  buffer = recv_sequenced(p, comm, state, root, params);
+  buffer = recv_sequenced();
 }
 
-const SequencerStats& sequencer_stats(Proc& p, const Comm& comm) {
+const NackStats& sequencer_stats(Proc& p, const Comm& comm) {
   return p.coll_state<SeqState>(comm).stats;
 }
 

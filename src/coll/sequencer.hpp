@@ -39,8 +39,6 @@ struct SequencerParams {
 /// at the default timer.
 inline constexpr int kSequencerMaxNacks = 1000;
 
-using SequencerStats = NackStats;
-
 /// Broadcast via the sequencer.  `buffer` is input at root, output
 /// elsewhere.  Comm rank 0 acts as the sequencer.  Throws
 /// std::invalid_argument on a nonpositive nack_timeout or an empty history,
@@ -48,6 +46,6 @@ using SequencerStats = NackStats;
 void bcast_sequencer(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                      int root, const SequencerParams& params = {});
 
-const SequencerStats& sequencer_stats(mpi::Proc& p, const mpi::Comm& comm);
+const NackStats& sequencer_stats(mpi::Proc& p, const mpi::Comm& comm);
 
 }  // namespace mcmpi::coll
